@@ -40,7 +40,7 @@ int main() {
                  1.0);
     // Coverage: fraction of static call sites whose returns are randomized.
     const auto calls =
-        rr_arch.analysis.stats.function_calls;
+        rr_arch.analysis->stats.function_calls;
     const double cover_sw =
         calls == 0 ? 0
                    : 100.0 * rr_sw.sw_stats.calls_rewritten /
@@ -51,7 +51,7 @@ int main() {
             : 100.0 *
                   (static_cast<double>(calls) -
                    static_cast<double>(
-                       rr_arch.analysis.unsafe_return_sites.size())) /
+                       rr_arch.analysis->unsafe_return_sites.size())) /
                   static_cast<double>(calls);
 
     std::printf("%-10s %10.1f %12.1f %12.3f %12.3f %7.0f%%/%3.0f%%\n",

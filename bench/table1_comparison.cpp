@@ -19,7 +19,7 @@ int main() {
 
   const double diversity =
       100.0 * static_cast<double>(rr.placement.size()) /
-      std::max<size_t>(1, rr.analysis.stats.instructions);
+      std::max<size_t>(1, rr.analysis->stats.instructions);
 
   auto row = [](const char* prop, const char* a, const char* b,
                 const char* c) {

@@ -109,6 +109,37 @@ void Memory::read_block(uint32_t addr, uint8_t* out, uint32_t n) const {
   }
 }
 
+void Memory::write_block(uint32_t addr, const uint8_t* src, uint32_t n) {
+  if (n == 0) return;
+  if (!watched_.empty()) {
+    // write8 bumps once per byte lying in any watched range: count the
+    // bytes of [addr, addr + n) covered by the union of the ranges.
+    const uint64_t lo = addr;
+    const uint64_t hi = lo + n;
+    std::vector<std::pair<uint64_t, uint64_t>> hits;
+    for (const auto& [base, end] : watched_) {
+      const uint64_t a = std::max<uint64_t>(lo, base);
+      const uint64_t b = std::min<uint64_t>(hi, end);
+      if (a < b) hits.emplace_back(a, b);
+    }
+    std::sort(hits.begin(), hits.end());
+    uint64_t covered_to = 0;
+    for (const auto& [a, b] : hits) {
+      const uint64_t from = std::max(a, covered_to);
+      if (b > from) code_version_ += b - from;
+      covered_to = std::max(covered_to, b);
+    }
+  }
+  while (n > 0) {
+    const uint32_t off = addr & (kPageSize - 1);
+    const uint32_t chunk = std::min(n, kPageSize - off);
+    std::memcpy(write_page(addr).data() + off, src, chunk);
+    addr += chunk;
+    src += chunk;
+    n -= chunk;
+  }
+}
+
 uint64_t Memory::checksum() const {
   // XOR of per-page FNV-1a hashes keyed by page number, so iteration order
   // over the hash map does not matter.
@@ -184,17 +215,13 @@ uint32_t table_entry_addr(const TranslationTables& tables, uint32_t addr) {
 }
 
 void load(const Image& image, Memory& mem) {
-  for (size_t i = 0; i < image.code.size(); ++i) {
-    mem.write8(image.code_base + static_cast<uint32_t>(i), image.code[i]);
-  }
-  for (size_t i = 0; i < image.data.size(); ++i) {
-    mem.write8(image.data_base + static_cast<uint32_t>(i), image.data[i]);
-  }
+  mem.write_block(image.code_base, image.code.data(),
+                  static_cast<uint32_t>(image.code.size()));
+  mem.write_block(image.data_base, image.data.data(),
+                  static_cast<uint32_t>(image.data.size()));
   if (image.layout == Layout::kNaiveIlr) {
     for (const auto& [addr, bytes] : image.sparse_code) {
-      for (size_t i = 0; i < bytes.size(); ++i) {
-        mem.write8(addr + static_cast<uint32_t>(i), bytes[i]);
-      }
+      mem.write_block(addr, bytes.data(), static_cast<uint32_t>(bytes.size()));
     }
   }
   if (image.layout == Layout::kVcfr && image.tables.table_bytes != 0) {

@@ -41,6 +41,10 @@ class Memory {
   /// Copies up to `n` bytes starting at `addr` into `out`; missing pages
   /// yield zeros. Used by instruction decode.
   void read_block(uint32_t addr, uint8_t* out, uint32_t n) const;
+  /// Copies `n` bytes from `src` to `addr`, one memcpy per page. Same
+  /// effect as write8 over each byte: the same pages are touched and
+  /// code_version() bumps once per byte inside a watched range.
+  void write_block(uint32_t addr, const uint8_t* src, uint32_t n);
 
   [[nodiscard]] size_t pages_allocated() const { return pages_.size(); }
 

@@ -46,10 +46,8 @@ std::unique_ptr<Emulator> rerandomize_live(
 
   // 3. Code bytes (same layout, new encoded targets), jump-table slots,
   //    and the kernel tables.
-  for (size_t i = 0; i < new_img.code.size(); ++i) {
-    mem.write8(new_img.code_base + static_cast<uint32_t>(i),
-               new_img.code[i]);
-  }
+  mem.write_block(new_img.code_base, new_img.code.data(),
+                  static_cast<uint32_t>(new_img.code.size()));
   for (const auto& r : new_img.relocs) {
     mem.write32(r.data_addr, retranslate(mem.read32(r.data_addr)));
     ++st.reloc_slots_patched;
@@ -95,7 +93,7 @@ bool rerandomize_incremental(const rewriter::Cfg& cfg,
 
   // --- candidate pages: original 4 KiB pages holding movable instrs -------
   constexpr uint32_t kPage = 4096;
-  const auto& unrandomized = rr.analysis.unrandomized;
+  const auto& unrandomized = rr.analysis->unrandomized;
   std::vector<size_t> movable;
   movable.reserve(cfg.instrs.size());
   std::vector<uint32_t> pages;
@@ -227,7 +225,7 @@ bool rerandomize_incremental(const rewriter::Cfg& cfg,
 
   // Referring sites: direct transfers, software-rewrite return pushes,
   // and proven code-pointer movs whose (original-space) target moved.
-  const auto& code_imm_sites = rr.analysis.code_imm_sites;
+  const auto& code_imm_sites = rr.analysis->code_imm_sites;
   for (const auto& e : cfg.instrs) {
     const bool qualifies =
         e.instr.is_direct_transfer() || e.instr.op == isa::Op::kPushI ||

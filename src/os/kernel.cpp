@@ -71,10 +71,22 @@ Kernel::Kernel(const KernelConfig& config)
 
 uint32_t Kernel::spawn(const ProcessConfig& config) {
   const uint32_t pid = static_cast<uint32_t>(procs_.size());
-  procs_.push_back(std::make_unique<Process>(pid, config));
+  procs_.push_back(
+      std::make_unique<Process>(pid, config, program_for(config)));
   const uint32_t core = sched_.admit(pid);
   procs_[pid]->bind(core, cores_[core]->mem());
   return pid;
+}
+
+std::shared_ptr<const rewriter::Program> Kernel::program_for(
+    const ProcessConfig& config) {
+  const auto key =
+      std::make_tuple(config.workload, config.scale, Process::kReturnPolicy);
+  auto it = programs_.find(key);
+  if (it == programs_.end()) {
+    it = programs_.emplace(key, prepare_program(config)).first;
+  }
+  return it->second;
 }
 
 void Kernel::dispatch(uint32_t core, Process& proc) {
@@ -1011,8 +1023,9 @@ void Kernel::measure_isolated(ProcessReport& report,
   // process may have re-randomized past it.
   rewriter::RandomizeOptions options;
   options.seed = proc.config().seed;
+  options.return_policy = Process::kReturnPolicy;
   const rewriter::RandomizeResult rr =
-      rewriter::randomize(proc.original(), options);
+      rewriter::place(proc.program(), options);
 
   emu::RunLimits limits;
   limits.max_instructions = proc.config().max_instructions;

@@ -24,8 +24,10 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cache/shared_l2.hpp"
@@ -101,7 +103,9 @@ class Kernel {
   explicit Kernel(const KernelConfig& config);
 
   /// Creates a process, shards it onto its home core, and returns its pid
-  /// (pids are dense, starting at 0).
+  /// (pids are dense, starting at 0). The first spawn of each (workload,
+  /// scale, return policy) prepares its program (image, CFG, analysis);
+  /// later spawns of the same key share it and only draw a placement.
   uint32_t spawn(const ProcessConfig& config);
 
   /// Attaches a telemetry session. Must be called before `run()` (every
@@ -233,6 +237,9 @@ class Kernel {
   /// Restarts every queued process whose backoff elapsed and requeues it
   /// on its home core.
   void service_restarts();
+  /// The kernel's shared program for `config`, prepared on first use.
+  [[nodiscard]] std::shared_ptr<const rewriter::Program> program_for(
+      const ProcessConfig& config);
   /// Isolated re-run of one finished process (arch_match + slowdown).
   void measure_isolated(ProcessReport& report, const Process& proc) const;
   /// Registers every core/process/shared structure with the attached
@@ -255,6 +262,12 @@ class Kernel {
   /// (pid, epoch) currently installed in each core's pipeline, or -1.
   std::vector<std::pair<int64_t, int64_t>> installed_;
   std::vector<std::unique_ptr<Process>> procs_;
+  /// Program library: one immutable program per (workload, scale, return
+  /// policy), shared by every process spawned from it. Lives as long as
+  /// the kernel; only spawn() touches the map.
+  std::map<std::tuple<std::string, int, rewriter::ReturnPolicy>,
+           std::shared_ptr<const rewriter::Program>>
+      programs_;
   uint64_t rounds_ = 0;
   uint64_t restarts_ = 0;
   uint64_t watchdog_kills_ = 0;

@@ -16,12 +16,17 @@ namespace {
 constexpr uint64_t kSeedMix = 0x9e3779b97f4a7c15ull;
 }  // namespace
 
-Process::Process(uint32_t pid, const ProcessConfig& config)
-    : pid_(pid),
-      config_(config),
-      base_(workloads::make(config.workload, config.scale)) {
+std::shared_ptr<const rewriter::Program> prepare_program(
+    const ProcessConfig& config) {
+  return rewriter::prepare(workloads::make(config.workload, config.scale),
+                           Process::kReturnPolicy);
+}
+
+Process::Process(uint32_t pid, const ProcessConfig& config,
+                 std::shared_ptr<const rewriter::Program> program)
+    : pid_(pid), config_(config), program_(std::move(program)) {
   rr_ = std::make_unique<rewriter::RandomizeResult>(
-      rewriter::randomize(base_, options_for_epoch(0)));
+      rewriter::place(program_, options_for_epoch(0)));
   binary::load(rr_->vcfr, mem_);
   emu_ = std::make_unique<emu::Emulator>(rr_->vcfr, mem_);
   emu_->set_enforce_tags(config_.enforce_tags);
@@ -40,6 +45,7 @@ void Process::apply_taint_config() {
 rewriter::RandomizeOptions Process::options_for_epoch(uint64_t epoch) const {
   rewriter::RandomizeOptions options;
   options.seed = config_.seed + kSeedMix * epoch + reseed_;
+  options.return_policy = kReturnPolicy;
   return options;
 }
 
@@ -115,7 +121,7 @@ bool Process::try_rerandomize() {
 bool Process::rerandomize_full(const std::vector<uint32_t>& pinned,
                                bool force) {
   auto next = std::make_unique<rewriter::RandomizeResult>(
-      rewriter::randomize(base_, options_for_epoch(epoch_ + 1)));
+      rewriter::place(program_, options_for_epoch(epoch_ + 1)));
   if (force) {
     // Forced quiescence: every register-held randomized address keeps a
     // derand alias to its instruction's original address in the fresh
@@ -164,9 +170,6 @@ bool Process::rerandomize_full(const std::vector<uint32_t>& pinned,
 
 bool Process::rerandomize_incremental_step(
     const std::vector<uint32_t>& pinned, bool /*force*/) {
-  if (cfg_ == nullptr) {
-    cfg_ = std::make_unique<rewriter::Cfg>(rewriter::build_cfg(base_));
-  }
   auto& tables = rr_->vcfr.tables;
   // Retire aliases from earlier forced swaps that no register holds any
   // more. (Reaching here with an alias still register-held implies it is
@@ -191,7 +194,8 @@ bool Process::rerandomize_incremental_step(
   opt.pinned = pinned;
   emu::IncrementalRerandStats st;
   const uint64_t prev_gen = mem_.code_version();
-  if (!emu::rerandomize_incremental(*cfg_, *rr_, mem_, *emu_, opt, &st)) {
+  if (!emu::rerandomize_incremental(program_->cfg, *rr_, mem_, *emu_, opt,
+                                    &st)) {
     // Slot pool exhausted — defer; the next epoch draws different slots.
     ++stats_.rerandomizations_deferred;
     return false;
@@ -224,7 +228,7 @@ void Process::restart() {
   reseed_ = kSeedMix * (0xbadc0ffeull + restarts_);
   ++epoch_;
   rr_ = std::make_unique<rewriter::RandomizeResult>(
-      rewriter::randomize(base_, options_for_epoch(epoch_)));
+      rewriter::place(program_, options_for_epoch(epoch_)));
   mem_ = binary::Memory();
   binary::load(rr_->vcfr, mem_);
   emu_ = std::make_unique<emu::Emulator>(rr_->vcfr, mem_);
@@ -250,9 +254,8 @@ void Process::rearm(const std::vector<uint8_t>& payload,
                     uint32_t payload_base) {
   mem_ = binary::Memory();
   binary::load(rr_->vcfr, mem_);
-  for (size_t i = 0; i < payload.size(); ++i) {
-    mem_.write8(payload_base + static_cast<uint32_t>(i), payload[i]);
-  }
+  mem_.write_block(payload_base, payload.data(),
+                   static_cast<uint32_t>(payload.size()));
   emu_ = std::make_unique<emu::Emulator>(rr_->vcfr, mem_);
   emu_->set_enforce_tags(config_.enforce_tags);
   apply_taint_config();
@@ -270,7 +273,7 @@ uint64_t Process::injection_gap() const {
 
 bool Process::apply_injection() {
   if (injector_ == nullptr) return false;
-  return injector_->apply(rr_->vcfr, mem_, *emu_, &base_);
+  return injector_->apply(rr_->vcfr, mem_, *emu_, &program_->image);
 }
 
 void Process::save_state(binary::StateWriter& w) const {
@@ -332,11 +335,11 @@ void Process::load_state(binary::StateReader& r) {
   epoch_ = r.u64();
   reseed_ = r.u64();
   restarts_ = r.u32();
-  // Re-derive the full randomization for this epoch (placement map,
-  // analysis, naive image), then swap in the serialized live image so any
-  // injected corruption of code bytes or tables survives.
+  // Re-derive this epoch's placement of the shared program, then swap in
+  // the serialized live image so any injected corruption of code bytes or
+  // tables survives.
   rr_ = std::make_unique<rewriter::RandomizeResult>(
-      rewriter::randomize(base_, options_for_epoch(epoch_)));
+      rewriter::place(program_, options_for_epoch(epoch_)));
   const uint32_t blob_size = r.count(1u << 28);
   std::string bytes(blob_size, '\0');
   r.bytes(bytes.data(), bytes.size());

@@ -161,9 +161,21 @@ struct ProcessStats {
 /// The kernel owns Process objects; a process is bound to one core for its
 /// whole life (static shard) and `bind()` builds its table walker over
 /// that core's memory hierarchy.
+///
+/// The seed-independent half of the randomization (original image, CFG,
+/// analysis) is a shared, immutable rewriter::Program; every epoch,
+/// restart and checkpoint restore only draws a new placement of it. No
+/// naive-ILR image is ever built for a process.
 class Process {
  public:
-  Process(uint32_t pid, const ProcessConfig& config);
+  /// The return policy every placement of a process uses.
+  static constexpr rewriter::ReturnPolicy kReturnPolicy =
+      rewriter::ReturnPolicy::kArchitectural;
+
+  /// A process over `program`, which must be prepare_program(config) or a
+  /// program shared with other processes of the same workload and scale.
+  Process(uint32_t pid, const ProcessConfig& config,
+          std::shared_ptr<const rewriter::Program> program);
 
   /// (Re)creates the translation walker against the bound core's memory
   /// hierarchy. Must be called before the first slice and is re-issued
@@ -314,7 +326,14 @@ class Process {
   [[nodiscard]] emu::Emulator& emulator() { return *emu_; }
   [[nodiscard]] const emu::Emulator& emulator() const { return *emu_; }
   [[nodiscard]] core::TranslationWalker* walker() { return walker_.get(); }
-  [[nodiscard]] const binary::Image& original() const { return base_; }
+  [[nodiscard]] const binary::Image& original() const {
+    return program_->image;
+  }
+  /// The shared seed-independent program every placement is drawn from.
+  [[nodiscard]] const std::shared_ptr<const rewriter::Program>& program()
+      const {
+    return program_;
+  }
   [[nodiscard]] const rewriter::RandomizeResult& randomization() const {
     return *rr_;
   }
@@ -335,7 +354,8 @@ class Process {
 
   uint32_t pid_;
   ProcessConfig config_;
-  binary::Image base_;  // original layout; every epoch randomizes this
+  /// Original image + CFG + analysis; every epoch places this.
+  std::shared_ptr<const rewriter::Program> program_;
   std::unique_ptr<rewriter::RandomizeResult> rr_;
   binary::Memory mem_;
   std::unique_ptr<emu::Emulator> emu_;
@@ -368,9 +388,11 @@ class Process {
   /// swaps; retired at later successful re-randomizations.
   std::vector<uint32_t> aliases_;
   RerandWork last_work_;
-  /// CFG of base_, built lazily the first time the incremental path runs
-  /// (deterministic, so never serialized).
-  std::unique_ptr<rewriter::Cfg> cfg_;
 };
+
+/// The seed-independent program a `config` process runs: its workload
+/// image with CFG and analysis under Process::kReturnPolicy.
+[[nodiscard]] std::shared_ptr<const rewriter::Program> prepare_program(
+    const ProcessConfig& config);
 
 }  // namespace vcfr::os

@@ -14,14 +14,14 @@ using isa::Op;
 
 namespace {
 
-/// Re-encodes one instruction with its control-flow-relevant immediate
-/// mapped through `remap` (identity for everything else). PushI immediates
-/// are return addresses produced by the software call rewrite and are
-/// always code pointers.
-std::vector<uint8_t> rewrite_instr(
-    const isa::DisasmEntry& entry,
-    const std::unordered_map<uint32_t, uint32_t>& placement,
-    const std::unordered_set<uint32_t>& code_imm_sites) {
+/// Appends one instruction to `out`, re-encoded with its
+/// control-flow-relevant immediate mapped through `placement` (identity for
+/// everything else). PushI immediates are return addresses produced by the
+/// software call rewrite and are always code pointers.
+void rewrite_instr(const isa::DisasmEntry& entry,
+                   const std::unordered_map<uint32_t, uint32_t>& placement,
+                   const std::unordered_set<uint32_t>& code_imm_sites,
+                   std::vector<uint8_t>& out) {
   isa::Instr instr = entry.instr;
   const bool is_code_imm =
       instr.op == Op::kMovRI && code_imm_sites.contains(entry.addr);
@@ -29,11 +29,179 @@ std::vector<uint8_t> rewrite_instr(
     auto it = placement.find(instr.imm);
     if (it != placement.end()) instr.imm = it->second;
   }
-  return isa::encode(instr);
+  isa::encode(instr, out);
+}
+
+/// Rewrites every relocated data slot (jump tables / stored code pointers)
+/// into the randomized space.
+void patch_data(binary::Image& img,
+                const std::unordered_map<uint32_t, uint32_t>& placement) {
+  for (const auto& r : img.relocs) {
+    const uint32_t v = img.read_data32(r.data_addr);
+    auto it = placement.find(v);
+    if (it != placement.end()) img.write_data32(r.data_addr, it->second);
+  }
+}
+
+/// Emits the naive-ILR image of a placement: every instruction physically
+/// relocated to its randomized address, plus the fall-through map.
+void emit_naive(const binary::Image& image, const Cfg& cfg,
+                const AnalysisResult& analysis, uint64_t seed,
+                RandomizeResult& result) {
+  const auto& instrs = cfg.instrs;
+  const auto& placement = result.placement;
+  auto remap = [&](uint32_t addr) {
+    auto it = placement.find(addr);
+    return it == placement.end() ? addr : it->second;
+  };
+  binary::Image& naive = result.naive;
+  naive = image;
+  naive.layout = binary::Layout::kNaiveIlr;
+  naive.seed = seed;
+  naive.code.clear();  // all instructions live in sparse_code
+  naive.rand_base = result.vcfr.rand_base;
+  naive.rand_size = result.vcfr.rand_size;
+  naive.sparse_code.reserve(instrs.size());
+  for (size_t i = 0; i < instrs.size(); ++i) {
+    const auto& e = instrs[i];
+    std::vector<uint8_t> bytes;
+    rewrite_instr(e, placement, analysis.code_imm_sites, bytes);
+    naive.sparse_code.emplace(remap(e.addr), std::move(bytes));
+    if (i + 1 < instrs.size()) {
+      naive.fallthrough.emplace(remap(e.addr), remap(instrs[i + 1].addr));
+    }
+  }
+  patch_data(naive, placement);
+  // The mapping exists on the naive hardware too.
+  naive.tables = result.vcfr.tables;
+  naive.entry = remap(image.entry);
 }
 
 uint32_t next_pow2(uint32_t v) {
   return v <= 1 ? 1 : std::bit_ceil(v);
+}
+
+/// The seed-dependent half, over an analyzed original-layout image: fills
+/// `result`'s placement map and VCFR image (tables included).
+void place_into(const binary::Image& image, const Cfg& cfg,
+                const AnalysisResult& analysis,
+                const RandomizeOptions& options, RandomizeResult& result) {
+  if (options.slot_bytes < isa::kMaxInstrLength + 1) {
+    throw std::invalid_argument("randomize: slot_bytes too small");
+  }
+  if (options.spread < 1.0) {
+    throw std::invalid_argument("randomize: spread must be >= 1.0");
+  }
+
+  const auto& unrandomized = analysis.unrandomized;
+
+  // --- assign randomized addresses ----------------------------------------
+  std::mt19937_64 rng(options.seed);
+  std::vector<size_t> movable;
+  movable.reserve(cfg.instrs.size());
+  for (size_t i = 0; i < cfg.instrs.size(); ++i) {
+    if (!unrandomized.contains(cfg.instrs[i].addr)) movable.push_back(i);
+  }
+
+  uint32_t region_size = 0;
+  if (options.placement == PlacementPolicy::kFullSpread) {
+    const auto slot_count = static_cast<uint32_t>(std::max<double>(
+        static_cast<double>(movable.size()),
+        static_cast<double>(movable.size()) * options.spread));
+    std::vector<uint32_t> slots(slot_count);
+    for (uint32_t i = 0; i < slot_count; ++i) slots[i] = i;
+    std::shuffle(slots.begin(), slots.end(), rng);
+
+    for (size_t k = 0; k < movable.size(); ++k) {
+      const auto& e = cfg.instrs[movable[k]];
+      const uint32_t jitter = static_cast<uint32_t>(
+          rng() % (options.slot_bytes - e.instr.length + 1));
+      const uint32_t addr =
+          options.rand_base + slots[k] * options.slot_bytes + jitter;
+      result.placement.emplace(e.addr, addr);
+    }
+    region_size = slot_count * options.slot_bytes;
+  } else {
+    // kPageConfined: per original 4 KiB page, shuffle its instructions and
+    // re-pack them (with random gaps from the page's slack) into one
+    // dedicated randomized region. The region stride carries one cache
+    // line of slop beyond the page size: an instruction *starting* in a
+    // page's last bytes straddles into the next page, so a group's total
+    // can slightly exceed 4096 bytes.
+    constexpr uint32_t kPage = 4096;
+    constexpr uint32_t kStride = kPage + 64;
+    std::map<uint32_t, std::vector<size_t>> by_page;  // ordered for determinism
+    for (size_t idx : movable) {
+      by_page[(cfg.instrs[idx].addr - image.code_base) / kPage].push_back(idx);
+    }
+    uint32_t max_page = 0;
+    for (auto& [page, list] : by_page) {
+      max_page = std::max(max_page, page);
+      std::shuffle(list.begin(), list.end(), rng);
+      uint32_t total = 0;
+      for (size_t idx : list) total += cfg.instrs[idx].instr.length;
+      uint32_t slack = kStride > total ? kStride - total : 0;
+      uint32_t pos = options.rand_base + page * kStride;
+      size_t remaining = list.size();
+      for (size_t idx : list) {
+        const uint32_t gap_cap =
+            remaining > 0 ? static_cast<uint32_t>(2 * slack / remaining + 1)
+                          : 1;
+        const uint32_t gap = std::min<uint32_t>(slack, rng() % gap_cap);
+        pos += gap;
+        slack -= gap;
+        result.placement.emplace(cfg.instrs[idx].addr, pos);
+        pos += cfg.instrs[idx].instr.length;
+        --remaining;
+      }
+    }
+    region_size = (max_page + 1) * kStride;
+  }
+  const auto& placement = result.placement;
+
+  // --- VCFR image ------------------------------------------------------------
+  binary::Image& vcfr = result.vcfr;
+  vcfr = image;
+  vcfr.layout = binary::Layout::kVcfr;
+  vcfr.seed = options.seed;
+  vcfr.code.clear();
+  for (const auto& e : cfg.instrs) {
+    rewrite_instr(e, placement, analysis.code_imm_sites, vcfr.code);
+  }
+  patch_data(vcfr, placement);
+  vcfr.rand_base = options.rand_base;
+  vcfr.rand_size = region_size;
+
+  // --- translation tables ------------------------------------------------------
+  binary::TranslationTables& tables = vcfr.tables;
+  tables.derand.reserve(placement.size());
+  tables.rand.reserve(placement.size());
+  for (const auto& [orig, rand_addr] : placement) {
+    tables.derand.emplace(rand_addr, orig);
+    tables.rand.emplace(orig, rand_addr);
+  }
+  tables.unrandomized = unrandomized;
+  tables.table_base = options.table_base;
+  // Open-addressed table over (derand + rand) entries, 8 bytes each, at
+  // ~full occupancy (the walker models a single-probe perfect hash; the
+  // size only determines the table's cache footprint).
+  tables.table_bytes =
+      next_pow2(static_cast<uint32_t>(placement.size()) * 2) * 8;
+}
+
+/// randomize() over an original-layout image: the analyses prepare() runs,
+/// place_into(), then the naive image. Works on the caller's image instead
+/// of copying it into a Program; the CFG dies here and the result keeps
+/// only the analysis.
+void randomize_analyzed(const binary::Image& image,
+                        const RandomizeOptions& options,
+                        RandomizeResult& result) {
+  const Cfg cfg = build_cfg(image);
+  AnalysisResult analysis = analyze(image, cfg, options.return_policy);
+  place_into(image, cfg, analysis, options, result);
+  emit_naive(image, cfg, analysis, options.seed, result);
+  result.analysis =
+      std::make_shared<const AnalysisResult>(std::move(analysis));
 }
 
 }  // namespace
@@ -123,167 +291,53 @@ binary::Image rewrite_calls_software(const binary::Image& image,
   return result;
 }
 
+std::shared_ptr<const Program> prepare(binary::Image image,
+                                       ReturnPolicy return_policy) {
+  if (image.layout != binary::Layout::kOriginal) {
+    throw std::invalid_argument("prepare: image is already randomized");
+  }
+  auto program = std::make_shared<Program>();
+  program->image = std::move(image);
+  program->cfg = build_cfg(program->image);
+  program->analysis = analyze(program->image, program->cfg, return_policy);
+  program->return_policy = return_policy;
+  return program;
+}
+
+RandomizeResult place(const std::shared_ptr<const Program>& program,
+                      const RandomizeOptions& options) {
+  if (options.return_option != ReturnOption::kArchitectural ||
+      options.return_policy != program->return_policy) {
+    throw std::invalid_argument(
+        "place: return options do not match the prepared program");
+  }
+  RandomizeResult result;
+  place_into(program->image, program->cfg, program->analysis, options,
+             result);
+  // Aliasing pointer: the result keeps the whole shared program alive.
+  result.analysis = std::shared_ptr<const AnalysisResult>(
+      program, &program->analysis);
+  return result;
+}
+
 RandomizeResult randomize(const binary::Image& image,
                           const RandomizeOptions& options) {
   if (image.layout != binary::Layout::kOriginal) {
     throw std::invalid_argument("randomize: image is already randomized");
   }
+  RandomizeResult result;
   if (options.return_option == ReturnOption::kSoftwareRewrite) {
-    SoftwareRewriteStats sw_stats;
-    const binary::Image transformed =
-        rewrite_calls_software(image, &sw_stats);
-    RandomizeOptions inner = options;
-    inner.return_option = ReturnOption::kArchitectural;
     // The remaining (un-rewritten) calls must push original addresses:
     // no architectural return randomization exists in this configuration.
+    RandomizeOptions inner = options;
+    inner.return_option = ReturnOption::kArchitectural;
     inner.return_policy = ReturnPolicy::kNone;
-    RandomizeResult result = randomize(transformed, inner);
-    result.sw_stats = sw_stats;
-    return result;
-  }
-  if (options.slot_bytes < isa::kMaxInstrLength + 1) {
-    throw std::invalid_argument("randomize: slot_bytes too small");
-  }
-  if (options.spread < 1.0) {
-    throw std::invalid_argument("randomize: spread must be >= 1.0");
-  }
-
-  RandomizeResult result;
-  const Cfg cfg = build_cfg(image);
-  result.analysis = analyze(image, cfg, options.return_policy);
-  const auto& unrandomized = result.analysis.unrandomized;
-
-  // --- assign randomized addresses ----------------------------------------
-  std::mt19937_64 rng(options.seed);
-  std::vector<size_t> movable;
-  movable.reserve(cfg.instrs.size());
-  for (size_t i = 0; i < cfg.instrs.size(); ++i) {
-    if (!unrandomized.contains(cfg.instrs[i].addr)) movable.push_back(i);
-  }
-
-  uint32_t region_size = 0;
-  if (options.placement == PlacementPolicy::kFullSpread) {
-    const auto slot_count = static_cast<uint32_t>(std::max<double>(
-        static_cast<double>(movable.size()),
-        static_cast<double>(movable.size()) * options.spread));
-    std::vector<uint32_t> slots(slot_count);
-    for (uint32_t i = 0; i < slot_count; ++i) slots[i] = i;
-    std::shuffle(slots.begin(), slots.end(), rng);
-
-    for (size_t k = 0; k < movable.size(); ++k) {
-      const auto& e = cfg.instrs[movable[k]];
-      const uint32_t jitter = static_cast<uint32_t>(
-          rng() % (options.slot_bytes - e.instr.length + 1));
-      const uint32_t addr =
-          options.rand_base + slots[k] * options.slot_bytes + jitter;
-      result.placement.emplace(e.addr, addr);
-    }
-    region_size = slot_count * options.slot_bytes;
+    const binary::Image transformed =
+        rewrite_calls_software(image, &result.sw_stats);
+    randomize_analyzed(transformed, inner, result);
   } else {
-    // kPageConfined: per original 4 KiB page, shuffle its instructions and
-    // re-pack them (with random gaps from the page's slack) into one
-    // dedicated randomized region. The region stride carries one cache
-    // line of slop beyond the page size: an instruction *starting* in a
-    // page's last bytes straddles into the next page, so a group's total
-    // can slightly exceed 4096 bytes.
-    constexpr uint32_t kPage = 4096;
-    constexpr uint32_t kStride = kPage + 64;
-    std::map<uint32_t, std::vector<size_t>> by_page;  // ordered for determinism
-    for (size_t idx : movable) {
-      by_page[(cfg.instrs[idx].addr - image.code_base) / kPage].push_back(idx);
-    }
-    uint32_t max_page = 0;
-    for (auto& [page, list] : by_page) {
-      max_page = std::max(max_page, page);
-      std::shuffle(list.begin(), list.end(), rng);
-      uint32_t total = 0;
-      for (size_t idx : list) total += cfg.instrs[idx].instr.length;
-      uint32_t slack = kStride > total ? kStride - total : 0;
-      uint32_t pos = options.rand_base + page * kStride;
-      size_t remaining = list.size();
-      for (size_t idx : list) {
-        const uint32_t gap_cap =
-            remaining > 0 ? static_cast<uint32_t>(2 * slack / remaining + 1)
-                          : 1;
-        const uint32_t gap = std::min<uint32_t>(slack, rng() % gap_cap);
-        pos += gap;
-        slack -= gap;
-        result.placement.emplace(cfg.instrs[idx].addr, pos);
-        pos += cfg.instrs[idx].instr.length;
-        --remaining;
-      }
-    }
-    region_size = (max_page + 1) * kStride;
+    randomize_analyzed(image, options, result);
   }
-  const auto& placement = result.placement;
-  auto remap = [&](uint32_t addr) {
-    auto it = placement.find(addr);
-    return it == placement.end() ? addr : it->second;
-  };
-
-  // --- shared translation tables -------------------------------------------
-  binary::TranslationTables tables;
-  tables.derand.reserve(placement.size());
-  tables.rand.reserve(placement.size());
-  for (const auto& [orig, rand_addr] : placement) {
-    tables.derand.emplace(rand_addr, orig);
-    tables.rand.emplace(orig, rand_addr);
-  }
-  tables.unrandomized = unrandomized;
-  tables.table_base = options.table_base;
-  // Open-addressed table over (derand + rand) entries, 8 bytes each, at
-  // ~full occupancy (the walker models a single-probe perfect hash; the
-  // size only determines the table's cache footprint).
-  tables.table_bytes =
-      next_pow2(static_cast<uint32_t>(placement.size()) * 2) * 8;
-
-  // --- data patching (jump tables / stored code pointers) ------------------
-  auto patch_data = [&](binary::Image& img) {
-    for (const auto& r : img.relocs) {
-      const uint32_t v = img.read_data32(r.data_addr);
-      img.write_data32(r.data_addr, remap(v));
-    }
-  };
-
-  // --- VCFR image ------------------------------------------------------------
-  binary::Image& vcfr = result.vcfr;
-  vcfr = image;
-  vcfr.layout = binary::Layout::kVcfr;
-  vcfr.seed = options.seed;
-  vcfr.code.clear();
-  vcfr.code.reserve(image.code.size());
-  for (const auto& e : cfg.instrs) {
-    const auto bytes =
-        rewrite_instr(e, placement, result.analysis.code_imm_sites);
-    vcfr.code.insert(vcfr.code.end(), bytes.begin(), bytes.end());
-  }
-  patch_data(vcfr);
-  vcfr.tables = tables;
-  vcfr.rand_base = options.rand_base;
-  vcfr.rand_size = region_size;
-
-  // --- naive-ILR image -------------------------------------------------------
-  binary::Image& naive = result.naive;
-  naive = image;
-  naive.layout = binary::Layout::kNaiveIlr;
-  naive.seed = options.seed;
-  naive.code.clear();  // all instructions live in sparse_code
-  naive.rand_base = options.rand_base;
-  naive.rand_size = region_size;
-  naive.sparse_code.reserve(cfg.instrs.size());
-  for (size_t i = 0; i < cfg.instrs.size(); ++i) {
-    const auto& e = cfg.instrs[i];
-    naive.sparse_code.emplace(
-        remap(e.addr),
-        rewrite_instr(e, placement, result.analysis.code_imm_sites));
-    if (i + 1 < cfg.instrs.size()) {
-      naive.fallthrough.emplace(remap(e.addr), remap(cfg.instrs[i + 1].addr));
-    }
-  }
-  patch_data(naive);
-  naive.tables = tables;  // the mapping exists on the naive hardware too
-  naive.entry = remap(image.entry);
-
   return result;
 }
 

@@ -13,9 +13,17 @@
 //
 // Both images are semantically equivalent to the original program; the
 // equivalence property tests exercise this across seeds.
+//
+// The work splits in two, as the paper's offline rewriter does: prepare()
+// runs the seed-independent CFG recovery and analyses once per binary and
+// returns an immutable Program; place() does only the seed-dependent part
+// (placement, tables, VCFR image) against a shared Program. randomize()
+// runs the same analyses and the same placement code over the caller's
+// image in one call, and adds the naive-ILR image.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 
 #include "binary/image.hpp"
@@ -84,10 +92,24 @@ struct SoftwareRewriteStats {
   }
 };
 
+/// The seed-independent half of a randomization: an original-layout image
+/// with its recovered CFG and its target/safety analysis under one return
+/// policy. Immutable once prepared; every placement of the image shares it.
+struct Program {
+  binary::Image image;
+  Cfg cfg;
+  AnalysisResult analysis;
+  ReturnPolicy return_policy = ReturnPolicy::kArchitectural;
+};
+
 struct RandomizeResult {
+  /// Empty when the result came from place(); randomize() fills it.
   binary::Image naive;
   binary::Image vcfr;
-  AnalysisResult analysis;
+  /// The analysis the placement honours. A place() result shares its
+  /// Program's (and keeps that Program alive); a randomize() result owns
+  /// its own and keeps no image copy or CFG.
+  std::shared_ptr<const AnalysisResult> analysis;
   /// original instruction address -> randomized address (identity entries
   /// are omitted; un-randomized instructions keep their addresses).
   std::unordered_map<uint32_t, uint32_t> placement;
@@ -104,8 +126,26 @@ struct RandomizeResult {
 [[nodiscard]] binary::Image rewrite_calls_software(
     const binary::Image& image, SoftwareRewriteStats* stats = nullptr);
 
-/// Randomizes an original-layout image. Throws std::invalid_argument when
-/// `image` is already randomized or options are inconsistent.
+/// Recovers the CFG of an original-layout image and runs the analyses under
+/// `return_policy`. Takes the image by value: move it in to avoid a copy.
+/// Throws std::invalid_argument when `image` is already randomized.
+[[nodiscard]] std::shared_ptr<const Program> prepare(
+    binary::Image image, ReturnPolicy return_policy);
+
+/// Draws one placement of `program`: the placement map, the translation
+/// tables and the VCFR image (`naive` stays empty). The software call
+/// rewrite is a transform of the image before prepare(), so
+/// `options.return_option` must be kArchitectural and
+/// `options.return_policy` must match the program's. Throws
+/// std::invalid_argument when the options are inconsistent.
+[[nodiscard]] RandomizeResult place(
+    const std::shared_ptr<const Program>& program,
+    const RandomizeOptions& options);
+
+/// Randomizes an original-layout image: the analyses prepare() runs, the
+/// placement place() draws, plus the naive-ILR image. Throws
+/// std::invalid_argument when `image` is already randomized or options are
+/// inconsistent.
 [[nodiscard]] RandomizeResult randomize(const binary::Image& image,
                                         const RandomizeOptions& options = {});
 

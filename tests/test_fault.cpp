@@ -155,7 +155,7 @@ TEST(ProcessTest, RerandomizeBeforeBindIsTypedFaultNotThrow) {
   os::ProcessConfig config;
   config.workload = "bzip2";
   config.scale = 0;
-  os::Process proc(0, config);
+  os::Process proc(0, config, os::prepare_program(config));
   bool ok = true;
   EXPECT_NO_THROW(ok = proc.try_rerandomize());
   EXPECT_FALSE(ok);

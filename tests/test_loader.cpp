@@ -2,7 +2,12 @@
 // checksum stability, and the serialized translation-table layout.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "binary/loader.hpp"
+#include "binary/state_io.hpp"
 #include "isa/assembler.hpp"
 #include "rewriter/randomizer.hpp"
 
@@ -43,6 +48,51 @@ TEST(MemoryTest, ReadBlockCrossesPages) {
   uint8_t buf[8];
   mem.read_block(Memory::kPageSize - 4, buf, 8);
   for (uint32_t i = 0; i < 8; ++i) EXPECT_EQ(buf[i], i + 1);
+}
+
+/// Memory::save_state bytes: pages, watched ranges and code version.
+std::string saved(const Memory& mem) {
+  std::ostringstream out;
+  StateWriter w(out);
+  mem.save_state(w);
+  return out.str();
+}
+
+TEST(MemoryTest, WriteBlockMatchesByteWrites) {
+  // A page-straddling block over two overlapping watched ranges, written
+  // once with write_block and once byte by byte: the same pages, bytes
+  // and code_version() bumps (one per watched byte).
+  std::vector<uint8_t> block(3 * Memory::kPageSize + 100);
+  for (size_t i = 0; i < block.size(); ++i) {
+    block[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  const uint32_t base = 5 * Memory::kPageSize - 40;
+  Memory bytes, blocks;
+  for (Memory* m : {&bytes, &blocks}) {
+    m->watch_code(base + 10, 50);
+    m->watch_code(base + 30, 2 * Memory::kPageSize);
+  }
+  for (size_t i = 0; i < block.size(); ++i) {
+    bytes.write8(base + static_cast<uint32_t>(i), block[i]);
+  }
+  blocks.write_block(base, block.data(), static_cast<uint32_t>(block.size()));
+  EXPECT_EQ(blocks.code_version(), 2 * Memory::kPageSize + 20);
+  EXPECT_EQ(blocks.code_version(), bytes.code_version());
+  EXPECT_EQ(blocks.pages_allocated(), 5u);
+  EXPECT_EQ(saved(blocks), saved(bytes));
+  uint8_t back[64];
+  blocks.read_block(base + Memory::kPageSize - 16, back, sizeof back);
+  for (uint32_t i = 0; i < sizeof back; ++i) {
+    EXPECT_EQ(back[i], block[Memory::kPageSize - 16 + i]);
+  }
+
+  // Unwatched memory: no bumps; an empty block touches nothing.
+  Memory plain;
+  plain.write_block(base, block.data(), 0);
+  EXPECT_EQ(plain.pages_allocated(), 0u);
+  plain.write_block(base, block.data(), 80);
+  EXPECT_EQ(plain.code_version(), 0u);
+  EXPECT_EQ(plain.pages_allocated(), 2u);
 }
 
 TEST(MemoryTest, ChecksumIsOrderIndependentAndContentSensitive) {

@@ -252,7 +252,7 @@ int cmd_randomize(const Args& args) {
               "-> %s\n",
               rr.placement.size(),
               static_cast<unsigned long long>(args.seed),
-              rr.analysis.unrandomized.size(), out.c_str());
+              rr.analysis->unrandomized.size(), out.c_str());
   if (args.software_returns) {
     rprintf("software return rewrite: %u calls, +%.1f%% code\n",
                 rr.sw_stats.calls_rewritten,

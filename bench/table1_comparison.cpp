@@ -18,7 +18,7 @@ int main() {
   const auto vcfr = bench::run(rr.vcfr, 128);
 
   const double diversity =
-      100.0 * static_cast<double>(rr.placement.size()) /
+      100.0 * static_cast<double>(rr.vcfr.tables.rand.size()) /
       std::max<size_t>(1, rr.analysis->stats.instructions);
 
   auto row = [](const char* prop, const char* a, const char* b,

@@ -50,11 +50,10 @@ int main() {
   double total_pairs = 0, same_placement = 0;
   for (int a = 0; a < kVariants; ++a) {
     for (int b = a + 1; b < kVariants; ++b) {
-      for (const auto& [orig, addr] : fleet[a]->placement) {
-        auto it = fleet[b]->placement.find(orig);
-        if (it != fleet[b]->placement.end()) {
+      for (const auto& [orig, addr] : fleet[a]->vcfr.tables.rand) {
+        if (const uint32_t* other = fleet[b]->vcfr.tables.rand.lookup(orig)) {
           ++total_pairs;
-          if (it->second == addr) ++same_placement;
+          if (*other == addr) ++same_placement;
         }
       }
     }
@@ -76,11 +75,9 @@ int main() {
   // The attacker learns variant 0's layout (say, by a leak), then the fleet
   // re-randomizes: how many of those addresses still hit an instruction?
   uint64_t still_instr = 0, probes = 0;
-  std::unordered_set<uint32_t> v1_starts;
-  for (const auto& [orig, addr] : fleet[1]->placement) v1_starts.insert(addr);
-  for (const auto& [orig, addr] : fleet[0]->placement) {
+  for (const auto& [orig, addr] : fleet[0]->vcfr.tables.rand) {
     ++probes;
-    if (v1_starts.contains(addr)) ++still_instr;
+    if (fleet[1]->vcfr.tables.is_randomized_addr(addr)) ++still_instr;
   }
   std::printf("addresses leaked from variant 0 that still name an "
               "instruction start in variant 1: %llu of %llu (%.3f%%)\n",

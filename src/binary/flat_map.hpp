@@ -16,8 +16,10 @@
 // place; FlatSet32 remains insert/lookup only.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -32,6 +34,25 @@ inline uint32_t mix32(uint32_t x) {
   x *= 0x846ca68bu;
   x ^= x >> 16;
   return x;
+}
+
+/// The first index at or after `i` whose occupancy flag is set, or
+/// `used.size()`. Scans eight flags per step: at the tables' ~50-75%
+/// occupancy a flag-by-flag loop mispredicts on about every other slot.
+inline size_t next_used(const std::vector<uint8_t>& used, size_t i) {
+  const size_t n = used.size();
+  for (; i + 8 <= n; i += 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, used.data() + i, sizeof word);
+    if (word == 0) continue;
+    if constexpr (std::endian::native == std::endian::little) {
+      return i + static_cast<size_t>(std::countr_zero(word)) / 8;
+    } else {
+      return i + static_cast<size_t>(std::countl_zero(word)) / 8;
+    }
+  }
+  while (i < n && used[i] == 0) ++i;
+  return i;
 }
 
 /// Open-addressing uint32 -> uint32 map with backward-shift erase.
@@ -58,9 +79,7 @@ class FlatMap32 {
     const_iterator(const FlatMap32* map, size_t idx) : map_(map), idx_(idx) {
       skip();
     }
-    void skip() {
-      while (idx_ < map_->used_.size() && map_->used_[idx_] == 0) ++idx_;
-    }
+    void skip() { idx_ = next_used(map_->used_, idx_); }
     const FlatMap32* map_ = nullptr;
     size_t idx_ = 0;
   };
@@ -153,6 +172,15 @@ class FlatMap32 {
 
   void reserve(size_t n) { grow_for(n); }
 
+  /// Replaces every value v with f(v). Keys, slots and iteration order
+  /// stay as they are.
+  template <class F>
+  void transform_values(F f) {
+    for (size_t i = 0; i < used_.size(); ++i) {
+      if (used_[i] != 0) slots_[i].second = f(slots_[i].second);
+    }
+  }
+
   void clear() {
     slots_.clear();
     used_.clear();
@@ -217,9 +245,7 @@ class FlatSet32 {
     const_iterator(const FlatSet32* set, size_t idx) : set_(set), idx_(idx) {
       skip();
     }
-    void skip() {
-      while (idx_ < set_->used_.size() && set_->used_[idx_] == 0) ++idx_;
-    }
+    void skip() { idx_ = next_used(set_->used_, idx_); }
     const FlatSet32* set_ = nullptr;
     size_t idx_ = 0;
   };

@@ -1,6 +1,7 @@
 #include "binary/loader.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "binary/state_io.hpp"
@@ -236,10 +237,44 @@ void store_tables(const TranslationTables& tables, Memory& mem) {
   // uses the exact in-image maps, the serialized form exists to give DRC
   // misses a concrete line to fetch. The flat tables iterate in slot
   // order, so the bytes are deterministic across platforms.
+  //
+  // Entries go straight into their page, and each page is looked up once
+  // (up to 256 pages, a 1 MiB table). The page cache is direct-mapped and
+  // on the stack: every served request reloads its tables, and a heap
+  // array per call tripled a serving run's minor page faults. The effect
+  // is exactly two write32 calls per entry: an entry that straddles a
+  // page boundary, and every entry of a table that overlaps a watched
+  // range (whose writes must bump code_version) or wraps past the top of
+  // the address space, takes the write32 path.
+  const uint64_t table_end =
+      uint64_t{tables.table_base} + tables.table_bytes;
+  bool word_path = table_end > (uint64_t{1} << 32);
+  for (const auto& [base, end] : mem.watched_) {
+    word_path = word_path || (base < table_end && end > tables.table_base);
+  }
+  std::array<std::pair<uint32_t, Memory::Page*>, 256> pages{};
+  auto put = [](uint8_t* p, uint32_t v) {
+    p[0] = static_cast<uint8_t>(v);
+    p[1] = static_cast<uint8_t>(v >> 8);
+    p[2] = static_cast<uint8_t>(v >> 16);
+    p[3] = static_cast<uint8_t>(v >> 24);
+  };
   auto store = [&](uint32_t key, uint32_t value) {
     const uint32_t entry = table_entry_addr(tables, key);
-    mem.write32(entry, key);
-    mem.write32(entry + 4, value);
+    const uint32_t off = entry & (Memory::kPageSize - 1);
+    if (word_path || off > Memory::kPageSize - 8) {
+      mem.write32(entry, key);
+      mem.write32(entry + 4, value);
+      return;
+    }
+    const uint32_t page_no = entry >> Memory::kPageBits;
+    auto& [cached_no, page] = pages[page_no % pages.size()];
+    if (page == nullptr || cached_no != page_no) {
+      page = &mem.touch_page(entry);
+      cached_no = page_no;
+    }
+    put(page->data() + off, key);
+    put(page->data() + off + 4, value);
   };
   for (const auto& [r, o] : tables.derand) store(r, o);
   for (const auto& [o, r] : tables.rand) store(o, r);

@@ -72,6 +72,9 @@ class Memory {
   void load_state(StateReader& r);
 
  private:
+  /// Writes table entries straight into the pages it looks up once.
+  friend void store_tables(const TranslationTables& tables, Memory& mem);
+
   using Page = std::array<uint8_t, kPageSize>;
   [[nodiscard]] const Page* find_page(uint32_t addr) const;
   Page& touch_page(uint32_t addr);

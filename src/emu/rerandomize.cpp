@@ -137,8 +137,8 @@ bool rerandomize_incremental(const rewriter::Cfg& cfg,
   // Slot occupancy: placements staying put, plus pinned (alias) keys. A
   // moved instruction frees its old slot unless an alias pins it.
   binary::FlatSet32 occupied;
-  occupied.reserve(rr.placement.size() + options.pinned.size());
-  for (const auto& [orig, ra] : rr.placement) {
+  occupied.reserve(img.tables.rand.size() + options.pinned.size());
+  for (const auto& [orig, ra] : img.tables.rand) {
     if (moved_orig.contains(orig) && !pinned.contains(ra)) continue;
     occupied.insert(slot_of(ra));
   }
@@ -211,7 +211,6 @@ bool rerandomize_incremental(const rewriter::Cfg& cfg,
     const uint32_t orig = cfg.instrs[a.idx].addr;
     tables.rand[orig] = a.new_ra;
     tables.derand.emplace(a.new_ra, orig);
-    rr.placement[orig] = a.new_ra;
     ++st.instrs_moved;
   }
 
@@ -232,7 +231,7 @@ bool rerandomize_incremental(const rewriter::Cfg& cfg,
         (e.instr.op == isa::Op::kMovRI && code_imm_sites.contains(e.addr));
     if (!qualifies || !moved_orig.contains(e.instr.imm)) continue;
     isa::Instr patched = e.instr;
-    patched.imm = rr.placement.at(e.instr.imm);
+    patched.imm = tables.to_randomized(e.instr.imm);
     const std::vector<uint8_t> bytes = isa::encode(patched);
     if (bytes.size() != e.instr.length) {
       throw std::logic_error(

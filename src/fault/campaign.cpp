@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "binary/loader.hpp"
@@ -90,21 +91,26 @@ CampaignReport run_campaign(const CampaignConfig& config,
   for (size_t wi = 0; wi < config.workloads.size(); ++wi) {
     const std::string& name = config.workloads[wi];
     const binary::Image base = workloads::make(name, config.scale);
+    // One randomization per (campaign, workload), drawn on first use: the
+    // naive-ILR and VCFR layouts are two forms of the same placement, and
+    // every trial corrupts that placement.
+    std::optional<rewriter::RandomizeResult> rr;
     for (size_t li = 0; li < config.layouts.size(); ++li) {
       const binary::Layout layout = config.layouts[li];
       const std::string lname(layout_name(layout));
 
-      // Build the layout under test. The randomization seed is per
-      // (campaign, workload) — the same placement every trial corrupts.
-      binary::Image image;
-      if (layout == binary::Layout::kOriginal) {
-        image = base;
-      } else {
-        rewriter::RandomizeOptions options;
-        options.seed = mix(config.seed, wi);
-        const rewriter::RandomizeResult rr = rewriter::randomize(base, options);
-        image = layout == binary::Layout::kNaiveIlr ? rr.naive : rr.vcfr;
+      // The layout under test.
+      const binary::Image* layout_image = &base;
+      if (layout != binary::Layout::kOriginal) {
+        if (!rr) {
+          rewriter::RandomizeOptions options;
+          options.seed = mix(config.seed, wi);
+          rr = rewriter::randomize(base, options);
+        }
+        layout_image = layout == binary::Layout::kNaiveIlr ? &rr->naive
+                                                           : &rr->vcfr;
       }
+      const binary::Image& image = *layout_image;
       const bool enforce = layout == binary::Layout::kVcfr;
 
       emu::RunLimits limits;

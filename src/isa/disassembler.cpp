@@ -48,8 +48,14 @@ std::string format_instr(const Instr& in) {
     case Op::kSt:
     case Op::kLdb:
     case Op::kStb: {
-      std::string mem = "[" + reg_name(in.rs);
-      if (in.disp > 0) mem += "+" + std::to_string(in.disp);
+      // Appended piecewise: `const char* + string&&` trips a false GCC 12
+      // -Wrestrict at -O3 (see reg_name).
+      std::string mem = "[";
+      mem += reg_name(in.rs);
+      if (in.disp > 0) {
+        mem += '+';
+        mem += std::to_string(in.disp);
+      }
       if (in.disp < 0) mem += std::to_string(in.disp);
       mem += "]";
       return mn + " " + reg_name(in.rd) + ", " + mem;
@@ -60,7 +66,7 @@ std::string format_instr(const Instr& in) {
     case Op::kPushI:
       return mn + " " + hex32(in.imm);
     case Op::kJcc:
-      return "j" + std::string(cond_name(in.cond)) + " " + hex32(in.imm);
+      return std::string("j").append(cond_name(in.cond)) + " " + hex32(in.imm);
     case Op::kMovRI:
     case Op::kAddRI:
     case Op::kSubRI:

@@ -335,16 +335,18 @@ void Process::load_state(binary::StateReader& r) {
   epoch_ = r.u64();
   reseed_ = r.u64();
   restarts_ = r.u32();
-  // Re-derive this epoch's placement of the shared program, then swap in
-  // the serialized live image so any injected corruption of code bytes or
-  // tables survives.
-  rr_ = std::make_unique<rewriter::RandomizeResult>(
-      rewriter::place(program_, options_for_epoch(epoch_)));
+  // The serialized live image is the randomization: it carries any
+  // injected corruption of code bytes or tables, and the tables of
+  // incremental epochs, which no placement drawn from the epoch seed
+  // reproduces. The analysis comes from the shared program.
   const uint32_t blob_size = r.count(1u << 28);
   std::string bytes(blob_size, '\0');
   r.bytes(bytes.data(), bytes.size());
   std::istringstream blob(bytes);
+  rr_ = std::make_unique<rewriter::RandomizeResult>();
   rr_->vcfr = binary::load_file(blob);
+  rr_->analysis = std::shared_ptr<const rewriter::AnalysisResult>(
+      program_, &program_->analysis);
   mem_.load_state(r);
   emu_ = std::make_unique<emu::Emulator>(rr_->vcfr, mem_);
   emu_->set_enforce_tags(config_.enforce_tags);
@@ -383,14 +385,6 @@ void Process::load_state(binary::StateReader& r) {
   for (uint32_t i = 0; i < aliases; ++i) aliases_.push_back(r.u32());
   req_leaks_ = r.u64();
   req_leak_depth_ = r.u32();
-  // Incremental epochs diverge from what randomize(epoch seed) would
-  // produce, so the re-derived placement is wrong whenever incremental
-  // re-randomization ran. The serialized tables are the ground truth —
-  // rebuild the placement from them (a no-op for full-rebuild lineages).
-  rr_->placement.clear();
-  for (const auto& [orig, ra] : rr_->vcfr.tables.rand) {
-    rr_->placement[orig] = ra;
-  }
   // The tables object changed — rebuild the walker over it.
   if (bound_mem_ != nullptr) {
     walker_ = std::make_unique<core::TranslationWalker>(rr_->vcfr.tables,

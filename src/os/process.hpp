@@ -163,9 +163,9 @@ struct ProcessStats {
 /// that core's memory hierarchy.
 ///
 /// The seed-independent half of the randomization (original image, CFG,
-/// analysis) is a shared, immutable rewriter::Program; every epoch,
-/// restart and checkpoint restore only draws a new placement of it. No
-/// naive-ILR image is ever built for a process.
+/// analysis) is a shared, immutable rewriter::Program; every epoch and
+/// restart only draws a new placement of it, and a checkpoint restore
+/// draws none. No naive-ILR image is ever built for a process.
 class Process {
  public:
   /// The return policy every placement of a process uses.
@@ -314,9 +314,9 @@ class Process {
 
   /// Checkpoint support. save_state serializes the *current* randomized
   /// image verbatim (not just the epoch seed) so injection-corrupted code
-  /// bytes and table entries survive the round trip; load_state re-derives
-  /// the rest of the randomization deterministically from (seed, epoch,
-  /// reseed), swaps in the serialized image, restores memory, builds a
+  /// bytes and table entries survive the round trip; load_state takes the
+  /// randomization from that image and the shared program's analysis (no
+  /// placement is drawn), restores (epoch, reseed) and memory, builds a
   /// fresh emulator over them and loads its architectural state, then
   /// rebuilds the walker over the restored tables. The caller must have
   /// bind()-ed the process first (spawn order reproduces that).

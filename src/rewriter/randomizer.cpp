@@ -1,10 +1,11 @@
 #include "rewriter/randomizer.hpp"
 
 #include <algorithm>
-#include <map>
 #include <bit>
+#include <map>
 #include <random>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "isa/encoding.hpp"
 
@@ -14,48 +15,65 @@ using isa::Op;
 
 namespace {
 
-/// Appends one instruction to `out`, re-encoded with its
-/// control-flow-relevant immediate mapped through `placement` (identity for
-/// everything else). PushI immediates are return addresses produced by the
-/// software call rewrite and are always code pointers.
-void rewrite_instr(const isa::DisasmEntry& entry,
-                   const std::unordered_map<uint32_t, uint32_t>& placement,
+/// Whether `entry`'s immediate is a code pointer: a direct transfer
+/// target, a proven code-pointer mov, or a PushI return address (produced
+/// by the software call rewrite).
+bool has_code_imm(const isa::DisasmEntry& entry,
+                  const std::unordered_set<uint32_t>& code_imm_sites) {
+  const isa::Instr& instr = entry.instr;
+  return instr.is_direct_transfer() || instr.op == Op::kPushI ||
+         (instr.op == Op::kMovRI && code_imm_sites.contains(entry.addr));
+}
+
+/// Appends one instruction to `out`, re-encoded with its code-pointer
+/// immediate mapped through `rand` (identity for everything else).
+void rewrite_instr(const isa::DisasmEntry& entry, const binary::FlatMap32& rand,
                    const std::unordered_set<uint32_t>& code_imm_sites,
                    std::vector<uint8_t>& out) {
   isa::Instr instr = entry.instr;
-  const bool is_code_imm =
-      instr.op == Op::kMovRI && code_imm_sites.contains(entry.addr);
-  if (instr.is_direct_transfer() || is_code_imm || instr.op == Op::kPushI) {
-    auto it = placement.find(instr.imm);
-    if (it != placement.end()) instr.imm = it->second;
+  if (has_code_imm(entry, code_imm_sites)) {
+    if (const uint32_t* ra = rand.lookup(instr.imm)) instr.imm = *ra;
   }
   isa::encode(instr, out);
 }
 
 /// Rewrites every relocated data slot (jump tables / stored code pointers)
 /// into the randomized space.
-void patch_data(binary::Image& img,
-                const std::unordered_map<uint32_t, uint32_t>& placement) {
+void patch_data(binary::Image& img, const binary::FlatMap32& rand) {
   for (const auto& r : img.relocs) {
-    const uint32_t v = img.read_data32(r.data_addr);
-    auto it = placement.find(v);
-    if (it != placement.end()) img.write_data32(r.data_addr, it->second);
+    if (const uint32_t* ra = rand.lookup(img.read_data32(r.data_addr))) {
+      img.write_data32(r.data_addr, *ra);
+    }
   }
+}
+
+/// The table fill order of a placement that draws the instructions at
+/// original addresses `keys`, in that sequence. The order is the one in
+/// which a std::unordered_map<uint32_t, uint32_t> iterates after `keys`
+/// were emplaced into it one by one; it is a function of the key sequence
+/// alone. The translation tables have always been filled in this order;
+/// keeping it keeps their slot layout, and so every serialized table byte.
+TableOrder table_order_of(const std::vector<uint32_t>& keys) {
+  std::unordered_map<uint32_t, uint32_t> position;
+  for (uint32_t i = 0; i < keys.size(); ++i) position.emplace(keys[i], i);
+  TableOrder fill;
+  fill.order.reserve(position.size());
+  fill.rand_positions.reserve(position.size());
+  for (const auto& [key, i] : position) {
+    fill.order.push_back(i);
+    fill.rand_positions.emplace(key, i);
+  }
+  return fill;
 }
 
 /// Emits the naive-ILR image of a placement: every instruction physically
 /// relocated to its randomized address, plus the fall-through map.
-void emit_naive(const binary::Image& image, const Cfg& cfg,
-                const AnalysisResult& analysis, uint64_t seed,
+void emit_naive(const Program& program, uint64_t seed,
                 RandomizeResult& result) {
-  const auto& instrs = cfg.instrs;
-  const auto& placement = result.placement;
-  auto remap = [&](uint32_t addr) {
-    auto it = placement.find(addr);
-    return it == placement.end() ? addr : it->second;
-  };
+  const auto& instrs = program.cfg.instrs;
+  const binary::TranslationTables& tables = result.vcfr.tables;
   binary::Image& naive = result.naive;
-  naive = image;
+  naive = program.image;
   naive.layout = binary::Layout::kNaiveIlr;
   naive.seed = seed;
   naive.code.clear();  // all instructions live in sparse_code
@@ -65,27 +83,58 @@ void emit_naive(const binary::Image& image, const Cfg& cfg,
   for (size_t i = 0; i < instrs.size(); ++i) {
     const auto& e = instrs[i];
     std::vector<uint8_t> bytes;
-    rewrite_instr(e, placement, analysis.code_imm_sites, bytes);
-    naive.sparse_code.emplace(remap(e.addr), std::move(bytes));
+    rewrite_instr(e, tables.rand, program.analysis.code_imm_sites, bytes);
+    naive.sparse_code.emplace(tables.to_randomized(e.addr), std::move(bytes));
     if (i + 1 < instrs.size()) {
-      naive.fallthrough.emplace(remap(e.addr), remap(instrs[i + 1].addr));
+      naive.fallthrough.emplace(tables.to_randomized(e.addr),
+                                tables.to_randomized(instrs[i + 1].addr));
     }
   }
-  patch_data(naive, placement);
+  patch_data(naive, tables.rand);
   // The mapping exists on the naive hardware too.
-  naive.tables = result.vcfr.tables;
-  naive.entry = remap(image.entry);
+  naive.tables = tables;
+  naive.entry = tables.to_randomized(program.image.entry);
 }
 
 uint32_t next_pow2(uint32_t v) {
   return v <= 1 ? 1 : std::bit_ceil(v);
 }
 
-/// The seed-dependent half, over an analyzed original-layout image: fills
-/// `result`'s placement map and VCFR image (tables included).
-void place_into(const binary::Image& image, const Cfg& cfg,
-                const AnalysisResult& analysis,
-                const RandomizeOptions& options, RandomizeResult& result) {
+/// Recovers the CFG, runs the analyses and fixes the seed-independent
+/// placement order of an original-layout image.
+std::shared_ptr<Program> build_program(binary::Image image,
+                                       ReturnPolicy return_policy) {
+  auto program = std::make_shared<Program>();
+  program->image = std::move(image);
+  program->cfg = build_cfg(program->image);
+  program->analysis = analyze(program->image, program->cfg, return_policy);
+  program->return_policy = return_policy;
+  const auto& instrs = program->cfg.instrs;
+  std::vector<uint32_t> keys;
+  program->movable.reserve(instrs.size());
+  keys.reserve(instrs.size());
+  for (uint32_t i = 0; i < instrs.size(); ++i) {
+    if (program->analysis.unrandomized.contains(instrs[i].addr)) continue;
+    program->movable.push_back(i);
+    keys.push_back(instrs[i].addr);
+  }
+  program->table_order = table_order_of(keys);
+  // Encoded lengths depend on the opcode alone, so re-encoding a site with
+  // another immediate rewrites exactly its own bytes.
+  const auto& code_imm_sites = program->analysis.code_imm_sites;
+  for (uint32_t i = 0; i < instrs.size(); ++i) {
+    if (has_code_imm(instrs[i], code_imm_sites)) {
+      program->code_sites.emplace_back(
+          i, static_cast<uint32_t>(program->identity_code.size()));
+    }
+    isa::encode(instrs[i].instr, program->identity_code);
+  }
+  return program;
+}
+
+/// The seed-dependent half: draws `result`'s VCFR image, tables included.
+void place_into(const Program& program, const RandomizeOptions& options,
+                RandomizeResult& result) {
   if (options.slot_bytes < isa::kMaxInstrLength + 1) {
     throw std::invalid_argument("randomize: slot_bytes too small");
   }
@@ -93,15 +142,18 @@ void place_into(const binary::Image& image, const Cfg& cfg,
     throw std::invalid_argument("randomize: spread must be >= 1.0");
   }
 
-  const auto& unrandomized = analysis.unrandomized;
+  const auto& instrs = program.cfg.instrs;
+  const std::vector<uint32_t>& movable = program.movable;
 
   // --- assign randomized addresses ----------------------------------------
+  // drawn[k] (a cfg.instrs index) lands at rand_addr[k]; `fill` orders
+  // the table inserts by k.
   std::mt19937_64 rng(options.seed);
-  std::vector<size_t> movable;
-  movable.reserve(cfg.instrs.size());
-  for (size_t i = 0; i < cfg.instrs.size(); ++i) {
-    if (!unrandomized.contains(cfg.instrs[i].addr)) movable.push_back(i);
-  }
+  std::vector<uint32_t> rand_addr(movable.size());
+  const std::vector<uint32_t>* drawn = &movable;
+  const TableOrder* fill = &program.table_order;
+  std::vector<uint32_t> page_drawn;
+  TableOrder page_fill;
 
   uint32_t region_size = 0;
   if (options.placement == PlacementPolicy::kFullSpread) {
@@ -113,12 +165,9 @@ void place_into(const binary::Image& image, const Cfg& cfg,
     std::shuffle(slots.begin(), slots.end(), rng);
 
     for (size_t k = 0; k < movable.size(); ++k) {
-      const auto& e = cfg.instrs[movable[k]];
       const uint32_t jitter = static_cast<uint32_t>(
-          rng() % (options.slot_bytes - e.instr.length + 1));
-      const uint32_t addr =
-          options.rand_base + slots[k] * options.slot_bytes + jitter;
-      result.placement.emplace(e.addr, addr);
+          rng() % (options.slot_bytes - instrs[movable[k]].instr.length + 1));
+      rand_addr[k] = options.rand_base + slots[k] * options.slot_bytes + jitter;
     }
     region_size = slot_count * options.slot_bytes;
   } else {
@@ -130,78 +179,79 @@ void place_into(const binary::Image& image, const Cfg& cfg,
     // can slightly exceed 4096 bytes.
     constexpr uint32_t kPage = 4096;
     constexpr uint32_t kStride = kPage + 64;
-    std::map<uint32_t, std::vector<size_t>> by_page;  // ordered for determinism
-    for (size_t idx : movable) {
-      by_page[(cfg.instrs[idx].addr - image.code_base) / kPage].push_back(idx);
+    std::map<uint32_t, std::vector<uint32_t>> by_page;  // ordered for determinism
+    for (const uint32_t idx : movable) {
+      by_page[(instrs[idx].addr - program.image.code_base) / kPage].push_back(
+          idx);
     }
+    page_drawn.reserve(movable.size());
+    std::vector<uint32_t> keys;
+    keys.reserve(movable.size());
     uint32_t max_page = 0;
     for (auto& [page, list] : by_page) {
       max_page = std::max(max_page, page);
       std::shuffle(list.begin(), list.end(), rng);
       uint32_t total = 0;
-      for (size_t idx : list) total += cfg.instrs[idx].instr.length;
+      for (const uint32_t idx : list) total += instrs[idx].instr.length;
       uint32_t slack = kStride > total ? kStride - total : 0;
       uint32_t pos = options.rand_base + page * kStride;
       size_t remaining = list.size();
-      for (size_t idx : list) {
+      for (const uint32_t idx : list) {
         const uint32_t gap_cap =
             remaining > 0 ? static_cast<uint32_t>(2 * slack / remaining + 1)
                           : 1;
         const uint32_t gap = std::min<uint32_t>(slack, rng() % gap_cap);
         pos += gap;
         slack -= gap;
-        result.placement.emplace(cfg.instrs[idx].addr, pos);
-        pos += cfg.instrs[idx].instr.length;
+        rand_addr[page_drawn.size()] = pos;
+        page_drawn.push_back(idx);
+        keys.push_back(instrs[idx].addr);
+        pos += instrs[idx].instr.length;
         --remaining;
       }
     }
     region_size = (max_page + 1) * kStride;
+    page_fill = table_order_of(keys);
+    drawn = &page_drawn;
+    fill = &page_fill;
   }
-  const auto& placement = result.placement;
 
-  // --- VCFR image ------------------------------------------------------------
   binary::Image& vcfr = result.vcfr;
-  vcfr = image;
+  vcfr = program.image;
   vcfr.layout = binary::Layout::kVcfr;
   vcfr.seed = options.seed;
-  vcfr.code.clear();
-  for (const auto& e : cfg.instrs) {
-    rewrite_instr(e, placement, analysis.code_imm_sites, vcfr.code);
-  }
-  patch_data(vcfr, placement);
   vcfr.rand_base = options.rand_base;
   vcfr.rand_size = region_size;
 
   // --- translation tables ------------------------------------------------------
   binary::TranslationTables& tables = vcfr.tables;
-  tables.derand.reserve(placement.size());
-  tables.rand.reserve(placement.size());
-  for (const auto& [orig, rand_addr] : placement) {
-    tables.derand.emplace(rand_addr, orig);
-    tables.rand.emplace(orig, rand_addr);
+  tables.derand.reserve(fill->order.size());
+  for (const uint32_t k : fill->order) {
+    tables.derand.emplace(rand_addr[k], instrs[(*drawn)[k]].addr);
   }
-  tables.unrandomized = unrandomized;
+  tables.rand = fill->rand_positions;
+  tables.rand.transform_values([&](uint32_t k) { return rand_addr[k]; });
+  tables.unrandomized = program.analysis.unrandomized;
   tables.table_base = options.table_base;
   // Open-addressed table over (derand + rand) entries, 8 bytes each, at
   // ~full occupancy (the walker models a single-probe perfect hash; the
   // size only determines the table's cache footprint).
   tables.table_bytes =
-      next_pow2(static_cast<uint32_t>(placement.size()) * 2) * 8;
-}
+      next_pow2(static_cast<uint32_t>(fill->order.size()) * 2) * 8;
 
-/// randomize() over an original-layout image: the analyses prepare() runs,
-/// place_into(), then the naive image. Works on the caller's image instead
-/// of copying it into a Program; the CFG dies here and the result keeps
-/// only the analysis.
-void randomize_analyzed(const binary::Image& image,
-                        const RandomizeOptions& options,
-                        RandomizeResult& result) {
-  const Cfg cfg = build_cfg(image);
-  AnalysisResult analysis = analyze(image, cfg, options.return_policy);
-  place_into(image, cfg, analysis, options, result);
-  emit_naive(image, cfg, analysis, options.seed, result);
-  result.analysis =
-      std::make_shared<const AnalysisResult>(std::move(analysis));
+  // --- VCFR image ------------------------------------------------------------
+  vcfr.code = program.identity_code;
+  std::vector<uint8_t> bytes;
+  for (const auto& [i, offset] : program.code_sites) {
+    const uint32_t* ra = tables.rand.lookup(instrs[i].instr.imm);
+    if (ra == nullptr) continue;
+    isa::Instr instr = instrs[i].instr;
+    instr.imm = *ra;
+    bytes.clear();
+    isa::encode(instr, bytes);
+    std::copy(bytes.begin(), bytes.end(), vcfr.code.begin() + offset);
+  }
+  patch_data(vcfr, tables.rand);
 }
 
 }  // namespace
@@ -296,12 +346,7 @@ std::shared_ptr<const Program> prepare(binary::Image image,
   if (image.layout != binary::Layout::kOriginal) {
     throw std::invalid_argument("prepare: image is already randomized");
   }
-  auto program = std::make_shared<Program>();
-  program->image = std::move(image);
-  program->cfg = build_cfg(program->image);
-  program->analysis = analyze(program->image, program->cfg, return_policy);
-  program->return_policy = return_policy;
-  return program;
+  return build_program(std::move(image), return_policy);
 }
 
 RandomizeResult place(const std::shared_ptr<const Program>& program,
@@ -312,8 +357,7 @@ RandomizeResult place(const std::shared_ptr<const Program>& program,
         "place: return options do not match the prepared program");
   }
   RandomizeResult result;
-  place_into(program->image, program->cfg, program->analysis, options,
-             result);
+  place_into(*program, options, result);
   // Aliasing pointer: the result keeps the whole shared program alive.
   result.analysis = std::shared_ptr<const AnalysisResult>(
       program, &program->analysis);
@@ -326,18 +370,23 @@ RandomizeResult randomize(const binary::Image& image,
     throw std::invalid_argument("randomize: image is already randomized");
   }
   RandomizeResult result;
+  RandomizeOptions inner = options;
+  std::shared_ptr<Program> program;
   if (options.return_option == ReturnOption::kSoftwareRewrite) {
     // The remaining (un-rewritten) calls must push original addresses:
     // no architectural return randomization exists in this configuration.
-    RandomizeOptions inner = options;
     inner.return_option = ReturnOption::kArchitectural;
     inner.return_policy = ReturnPolicy::kNone;
-    const binary::Image transformed =
-        rewrite_calls_software(image, &result.sw_stats);
-    randomize_analyzed(transformed, inner, result);
+    program = build_program(rewrite_calls_software(image, &result.sw_stats),
+                            inner.return_policy);
   } else {
-    randomize_analyzed(image, options, result);
+    program = build_program(image, options.return_policy);
   }
+  place_into(*program, inner, result);
+  emit_naive(*program, inner.seed, result);
+  // Keep only the analysis; the program's image copy and CFG die here.
+  result.analysis =
+      std::make_shared<const AnalysisResult>(std::move(program->analysis));
   return result;
 }
 

@@ -17,14 +17,29 @@
 // The work splits in two, as the paper's offline rewriter does: prepare()
 // runs the seed-independent CFG recovery and analyses once per binary and
 // returns an immutable Program; place() does only the seed-dependent part
-// (placement, tables, VCFR image) against a shared Program. randomize()
-// runs the same analyses and the same placement code over the caller's
-// image in one call, and adds the naive-ILR image.
+// (placement, tables, VCFR image) against a shared Program. randomize() is
+// prepare + place + the naive-ILR image in one call.
+//
+// A placement draws each movable instruction's randomized address into a
+// flat array; no per-instruction map is built. The order the derand/rand
+// tables are filled in fixes their slot layout and so their serialized
+// bytes. That order, and with it the rand table's whole key layout,
+// depends only on the sequence of drawn instructions' original addresses,
+// never on the addresses drawn. kFullSpread draws in CFG order for every
+// seed, so prepare() computes its TableOrder once; a placement then
+// inserts only the derand entries and copies the rand layout, filling in
+// the values. kPageConfined draws in a per-seed order and computes its
+// TableOrder per placement. The VCFR code is shared the same way: a
+// placement copies the code of a placement that moves nothing and
+// re-encodes only the instructions whose code-pointer immediate moved.
+// `vcfr.tables.rand` is the one original -> randomized map a result
+// carries.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "binary/image.hpp"
 #include "rewriter/analysis.hpp"
@@ -92,6 +107,16 @@ struct SoftwareRewriteStats {
   }
 };
 
+/// How a placement fills its translation tables, for one sequence of drawn
+/// instructions (see the file comment).
+struct TableOrder {
+  /// Draw positions, in the order the derand table is filled.
+  std::vector<uint32_t> order;
+  /// original address -> draw position, laid out slot for slot as the
+  /// placement's rand table.
+  binary::FlatMap32 rand_positions;
+};
+
 /// The seed-independent half of a randomization: an original-layout image
 /// with its recovered CFG and its target/safety analysis under one return
 /// policy. Immutable once prepared; every placement of the image shares it.
@@ -100,6 +125,17 @@ struct Program {
   Cfg cfg;
   AnalysisResult analysis;
   ReturnPolicy return_policy = ReturnPolicy::kArchitectural;
+  /// cfg.instrs indices of the randomizable instructions, in CFG order:
+  /// the order a kFullSpread placement draws their addresses in.
+  std::vector<uint32_t> movable;
+  /// The table fill order of every kFullSpread placement.
+  TableOrder table_order;
+  /// The VCFR code of a placement that moves nothing. A placement copies
+  /// it and re-encodes only the `code_sites` whose target it moved.
+  std::vector<uint8_t> identity_code;
+  /// (cfg.instrs index, byte offset in identity_code) of every
+  /// instruction whose immediate is a code pointer.
+  std::vector<std::pair<uint32_t, uint32_t>> code_sites;
 };
 
 struct RandomizeResult {
@@ -110,9 +146,6 @@ struct RandomizeResult {
   /// Program's (and keeps that Program alive); a randomize() result owns
   /// its own and keeps no image copy or CFG.
   std::shared_ptr<const AnalysisResult> analysis;
-  /// original instruction address -> randomized address (identity entries
-  /// are omitted; un-randomized instructions keep their addresses).
-  std::unordered_map<uint32_t, uint32_t> placement;
   /// Populated when return_option == kSoftwareRewrite.
   SoftwareRewriteStats sw_stats;
 };
@@ -132,18 +165,18 @@ struct RandomizeResult {
 [[nodiscard]] std::shared_ptr<const Program> prepare(
     binary::Image image, ReturnPolicy return_policy);
 
-/// Draws one placement of `program`: the placement map, the translation
-/// tables and the VCFR image (`naive` stays empty). The software call
-/// rewrite is a transform of the image before prepare(), so
-/// `options.return_option` must be kArchitectural and
-/// `options.return_policy` must match the program's. Throws
-/// std::invalid_argument when the options are inconsistent.
+/// Draws one placement of `program`: the translation tables and the VCFR
+/// image (`naive` stays empty). The software call rewrite is a transform
+/// of the image before prepare(), so `options.return_option` must be
+/// kArchitectural and `options.return_policy` must match the program's.
+/// Throws std::invalid_argument when the options are inconsistent.
 [[nodiscard]] RandomizeResult place(
     const std::shared_ptr<const Program>& program,
     const RandomizeOptions& options);
 
-/// Randomizes an original-layout image: the analyses prepare() runs, the
-/// placement place() draws, plus the naive-ILR image. Throws
+/// Randomizes an original-layout image: prepare(), place(), plus the
+/// naive-ILR image. The result keeps only the analysis of the program it
+/// prepared, not its image copy or CFG. Throws
 /// std::invalid_argument when `image` is already randomized or options are
 /// inconsistent.
 [[nodiscard]] RandomizeResult randomize(const binary::Image& image,

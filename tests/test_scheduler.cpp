@@ -155,8 +155,8 @@ TEST(SchedulerTest, MidRunRerandomizationBumpsEpochAndStaysCorrect) {
   EXPECT_EQ(c.emulator().output(), p.emulator().output());
   EXPECT_EQ(c.stats().instructions, p.stats().instructions);
   // Placements differ across epochs, so the translation tables must too.
-  EXPECT_NE(kernel.randomization(0).placement,
-            control.randomization(0).placement);
+  EXPECT_NE(kernel.randomization(0).vcfr.tables.rand,
+            control.randomization(0).vcfr.tables.rand);
 }
 
 // The flushed return-bitmap cache refuses stale entries outright.

@@ -1,11 +1,13 @@
 // Spawn pipeline: analyze once, place many. A kernel prepares each
-// workload's program (original image, CFG, analysis) once; every spawn,
-// restart and re-randomization epoch only draws a placement of it. These
-// tests pin that the split moves no byte: kernel-placed VCFR images
-// serialize exactly as a from-scratch randomize() at the same seed,
-// programs are shared within a kernel and never across kernels, pool
-// workers can read a shared program concurrently, and randomize() itself
-// still emits the images it emitted before the split.
+// workload's program (original image, CFG, analysis, table fill order)
+// once; every spawn, restart and re-randomization epoch only draws a
+// placement of it. These tests pin that the split moves no byte:
+// kernel-placed VCFR images serialize exactly as a from-scratch
+// randomize() at the same seed, programs are shared within a kernel and
+// never across kernels, pool workers can read a shared program
+// concurrently, and randomize(), spawns and their loaded memory still
+// produce the bytes they produced before the split and before placement
+// dropped its per-instruction map.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -243,7 +245,167 @@ TEST(SpawnPipelineTest, RandomizeOutputUnchanged) {
                              std::to_string(g.seed);
     EXPECT_EQ(fnv1a(serialized(rr.vcfr)), g.vcfr) << what;
     EXPECT_EQ(fnv1a(serialized(rr.naive)), g.naive) << what;
-    EXPECT_EQ(rr.placement.size(), g.placed) << what;
+    EXPECT_EQ(rr.vcfr.tables.rand.size(), g.placed) << what;
+  }
+}
+
+/// FNV-1a over a table's (key, value) pairs in iteration order, 4-byte
+/// little-endian each: pins the slot layout, not just the contents.
+uint64_t fnv1a(const binary::FlatMap32& table) {
+  std::string bytes;
+  for (const auto& [k, v] : table) {
+    for (const uint32_t word : {k, v}) {
+      for (int i = 0; i < 4; ++i) {
+        bytes.push_back(static_cast<char>(word >> (8 * i)));
+      }
+    }
+  }
+  return fnv1a(bytes);
+}
+
+// Scale-1 programs have longer hash-table growth histories than scale 0.
+// The goldens were recorded before placement stopped building a
+// per-instruction map: serialized VCFR and naive-ILR images, and the
+// derand/rand iteration sequences, for both placement policies.
+TEST(SpawnPipelineTest, ScaleOneRandomizeOutputUnchanged) {
+  struct Golden {
+    const char* workload;
+    rewriter::PlacementPolicy placement;
+    uint64_t seed;
+    uint64_t vcfr;
+    uint64_t naive;
+    uint64_t derand;
+    uint64_t rand;
+    size_t placed;
+  };
+  constexpr auto kFull = rewriter::PlacementPolicy::kFullSpread;
+  constexpr auto kPage = rewriter::PlacementPolicy::kPageConfined;
+  const Golden golden[] = {
+      {"gcc", kFull, 3, 0x17413d54f7a26640ull, 0x703abcafa4474152ull,
+       0x26c12704389e0a7dull, 0xe127aa33ef8c68b9ull, 18289},
+      {"gcc", kFull, 41, 0xcec607e1d3be4522ull, 0x86eb4e476f3f9a41ull,
+       0xc16d7311f434e3e3ull, 0x6b261000d8181b67ull, 18289},
+      {"gcc", kPage, 3, 0xdcc013d09acff015ull, 0xee4da49c59972968ull,
+       0xcd9e905d2c584eeaull, 0x6bbf7fcc44e0ceeeull, 18289},
+      {"gcc", kPage, 41, 0x159b671ae057a5b0ull, 0xe44c9107a5af3d3aull,
+       0x7ff43823df4ccb08ull, 0x1a3d09f4be044b10ull, 18289},
+      {"xalan", kFull, 3, 0x939e61837b81aa46ull, 0xbd88065063711ae2ull,
+       0xb49538bc385d6961ull, 0xb404dc138550eebdull, 19764},
+      {"xalan", kFull, 41, 0x097960a0005c6fdbull, 0xe1ddb39c91382361ull,
+       0x0fa028c665de2c01ull, 0x8c3b865c80aaff7dull, 19764},
+      {"xalan", kPage, 3, 0xf7567b9dd87d2c1aull, 0x522efcf55402b043ull,
+       0x32f2b57d27a7b52eull, 0x56e8f72ea76906ceull, 19764},
+      {"xalan", kPage, 41, 0x10706a3527c11205ull, 0x4035327028e5af13ull,
+       0x397d41385568084dull, 0x708c6aaadc9a5d31ull, 19764},
+      {"mcf", kFull, 3, 0x59e61e892501989dull, 0x19a664a45b831f0dull,
+       0xf16210f1250c5b39ull, 0x645e8530bf746cc9ull, 15731},
+      {"mcf", kFull, 41, 0x2e7ae1f8e3d90eb0ull, 0xff51371ac14b3a43ull,
+       0xf40e4f98f511d3ebull, 0x7e3036b0cb8302ffull, 15731},
+      {"mcf", kPage, 3, 0x2747ef016cabf7ebull, 0x4f6e81ddd7b92a23ull,
+       0x29be45a843740f61ull, 0x73954ad300c2f405ull, 15731},
+      {"mcf", kPage, 41, 0x7fec97d5876cc4c6ull, 0x7ea6f4a571207207ull,
+       0x52bc8fe67db2e7f9ull, 0x827d4c407bcdbce1ull, 15731},
+  };
+  for (const Golden& g : golden) {
+    rewriter::RandomizeOptions options;
+    options.seed = g.seed;
+    options.placement = g.placement;
+    const auto rr = rewriter::randomize(workloads::make(g.workload, 1), options);
+    const std::string what =
+        std::string(g.workload) +
+        (g.placement == kPage ? " page-confined" : " full-spread") +
+        " seed " + std::to_string(g.seed);
+    EXPECT_EQ(fnv1a(serialized(rr.vcfr)), g.vcfr) << what;
+    EXPECT_EQ(fnv1a(serialized(rr.naive)), g.naive) << what;
+    EXPECT_EQ(fnv1a(rr.vcfr.tables.derand), g.derand) << what;
+    EXPECT_EQ(fnv1a(rr.vcfr.tables.rand), g.rand) << what;
+    EXPECT_EQ(rr.vcfr.tables.rand.size(), g.placed) << what;
+  }
+}
+
+// Kernel-spawned scale-1 tenants, recorded before the same change: table
+// iteration sequences plus the loaded memory's checksum, page count and
+// code_version, which pin the bytes store_tables writes and the pages it
+// allocates. Then one re-randomization epoch (full rebuild for seed 5,
+// incremental for 0x5eed) pins the live table refresh the same way.
+TEST(SpawnPipelineTest, SpawnedTablesAndMemoryUnchanged) {
+  struct Snapshot {
+    uint64_t derand;
+    uint64_t rand;
+    uint64_t memory;
+    uint64_t code_version;
+  };
+  struct Golden {
+    const char* workload;
+    uint64_t seed;
+    Snapshot spawn;
+    size_t pages;
+    Snapshot epoch1;
+  };
+  const Golden golden[] = {
+      {"gcc", 5,
+       {0x82a1135959952307ull, 0x36ad2b5c0e39a077ull, 0xb66fc6899bb1dd70ull,
+        1},
+       156,
+       {0x0052a6795c2a029full, 0x53a8344096ed72dbull, 0x8b5fe980ab0e71f2ull,
+        105163}},
+      {"gcc", 0x5eed,
+       {0x32b57c1f6d16bb38ull, 0x72f3df41812f588cull, 0x900547cfac1d503eull,
+        1},
+       156,
+       {0x83d7b1c029c7eec4ull, 0xf21194db3bac5678ull, 0xb428248fd219c75cull,
+        118}},
+      {"xalan", 5,
+       {0xe34f714c526ea284ull, 0x514e70f79ad90190ull, 0x212ebd8e58861c14ull,
+        1},
+       159,
+       {0x3272c1f73c3fc081ull, 0x85c11791c365715dull, 0xa6d07c975bed1f3eull,
+        114457}},
+      {"xalan", 0x5eed,
+       {0xa99580d62df64b62ull, 0x7e43ea11fb1d1fbaull, 0xe8a0be7d99597556ull,
+        1},
+       159,
+       {0xb312c680bd920b35ull, 0x6be2be7aba4687a5ull, 0x4f7b5ffeaff4854bull,
+        88}},
+      {"mcf", 5,
+       {0xaafb268ab2ab3d33ull, 0x90eaed7039310077ull, 0x75b0005962b6667aull,
+        1},
+       216,
+       {0xbfc7b03d09fd9deaull, 0x10fc72d8282770e2ull, 0xadd6daeea7d369f6ull,
+        90547}},
+      {"mcf", 0x5eed,
+       {0x95be37e7086eb6cfull, 0xc866a2859deaf7a3ull, 0x2d4602735ec4c014ull,
+        1},
+       216,
+       {0xbab79fcd6e439dadull, 0x01d4560c9496ca55ull, 0xab2b5b36037e065cull,
+        650}},
+  };
+  auto snapshot = [](const Process& p) {
+    const auto& tables = p.randomization().vcfr.tables;
+    return Snapshot{fnv1a(tables.derand), fnv1a(tables.rand),
+                    p.memory().checksum(), p.memory().code_version()};
+  };
+  auto expect_eq = [](const Snapshot& got, const Snapshot& want,
+                      const std::string& what) {
+    EXPECT_EQ(got.derand, want.derand) << what;
+    EXPECT_EQ(got.rand, want.rand) << what;
+    EXPECT_EQ(got.memory, want.memory) << what;
+    EXPECT_EQ(got.code_version, want.code_version) << what;
+  };
+  Kernel kernel(one_core());
+  for (const Golden& g : golden) {
+    ProcessConfig pc = tenant(g.workload, g.seed);
+    pc.scale = 1;
+    if (g.seed == 0x5eed) {
+      pc.rerandomize.rebuild = RerandomizePolicy::Rebuild::kIncremental;
+    }
+    Process& p = kernel.process_mut(kernel.spawn(pc));
+    const std::string what =
+        std::string(g.workload) + " seed " + std::to_string(g.seed);
+    expect_eq(snapshot(p), g.spawn, what + " spawn");
+    EXPECT_EQ(p.memory().pages_allocated(), g.pages) << what;
+    ASSERT_TRUE(p.try_rerandomize()) << what;
+    expect_eq(snapshot(p), g.epoch1, what + " epoch 1");
   }
 }
 

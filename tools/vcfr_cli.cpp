@@ -250,7 +250,7 @@ int cmd_randomize(const Args& args) {
   binary::save(out_image, out);
   rprintf("relocated %zu instructions (seed %llu); failover set: %zu; "
               "-> %s\n",
-              rr.placement.size(),
+              rr.vcfr.tables.rand.size(),
               static_cast<unsigned long long>(args.seed),
               rr.analysis->unrandomized.size(), out.c_str());
   if (args.software_returns) {

@@ -1,10 +1,17 @@
 // VXE binary image: the unit the assembler produces, the ILR rewriter
 // transforms, and the emulator/simulator execute.
+//
+// A naive-ILR image keeps its relocated code flat (SparseCode): one
+// record per instruction (randomized address, offset, length) and one
+// byte blob. The rewriter's blob is the VCFR image's code: a naive
+// instruction is the VCFR instruction with the same code-pointer
+// immediates rewritten, so its bytes are the VCFR bytes at the same
+// offset and nothing is re-encoded.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "binary/flat_map.hpp"
@@ -78,6 +85,32 @@ struct TranslationTables {
   }
 };
 
+/// One relocated instruction of a naive-ILR image: its bytes are
+/// SparseCode::bytes[offset, offset + length).
+struct SparseInstr {
+  /// Randomized address (or the original one, for an instruction left
+  /// un-randomized).
+  uint32_t addr = 0;
+  uint32_t offset = 0;
+  uint32_t length = 0;
+};
+
+/// The relocated code of a naive-ILR image. Records keep the order they
+/// were added in: CFG order for a rewriter product (the blob is then the
+/// VCFR code), file order for a loaded image. binary::save derives the
+/// serialized order from that sequence alone (see serialize.hpp).
+struct SparseCode {
+  std::vector<SparseInstr> instrs;
+  std::vector<uint8_t> bytes;
+
+  [[nodiscard]] size_t size() const { return instrs.size(); }
+  [[nodiscard]] bool empty() const { return instrs.empty(); }
+
+  [[nodiscard]] std::span<const uint8_t> bytes_of(const SparseInstr& s) const {
+    return {bytes.data() + s.offset, s.length};
+  }
+};
+
 /// A complete program image.
 struct Image {
   std::string name;
@@ -98,8 +131,8 @@ struct Image {
   /// Region holding relocated instructions.
   uint32_t rand_base = 0;
   uint32_t rand_size = 0;
-  /// Instruction bytes keyed by randomized address.
-  std::unordered_map<uint32_t, std::vector<uint8_t>> sparse_code;
+  /// Relocated instructions and their bytes.
+  SparseCode sparse_code;
   /// randomized address -> randomized address of the sequential successor.
   /// The paper's straightforward hardware ILR resolves this mapping at zero
   /// cost; only the fetch-locality penalty is modelled. Flat table: probed

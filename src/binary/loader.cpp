@@ -221,8 +221,9 @@ void load(const Image& image, Memory& mem) {
   mem.write_block(image.data_base, image.data.data(),
                   static_cast<uint32_t>(image.data.size()));
   if (image.layout == Layout::kNaiveIlr) {
-    for (const auto& [addr, bytes] : image.sparse_code) {
-      mem.write_block(addr, bytes.data(), static_cast<uint32_t>(bytes.size()));
+    const SparseCode& sparse = image.sparse_code;
+    for (const SparseInstr& s : sparse.instrs) {
+      mem.write_block(s.addr, sparse.bytes_of(s).data(), s.length);
     }
   }
   if (image.layout == Layout::kVcfr && image.tables.table_bytes != 0) {

@@ -4,7 +4,9 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace vcfr::binary {
 namespace {
@@ -38,7 +40,7 @@ void put64(std::ostream& out, uint64_t v) {
   for (int i = 0; i < 8; ++i) put8(out, static_cast<uint8_t>(v >> (8 * i)));
 }
 
-void put_bytes(std::ostream& out, const std::vector<uint8_t>& bytes) {
+void put_bytes(std::ostream& out, std::span<const uint8_t> bytes) {
   put32(out, static_cast<uint32_t>(bytes.size()));
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
@@ -67,14 +69,23 @@ uint64_t get64(std::istream& in) {
   return v;
 }
 
-std::vector<uint8_t> get_bytes(std::istream& in) {
+/// Reads a length-prefixed byte section and appends it to `out`; returns
+/// its length.
+uint32_t append_bytes(std::istream& in, std::vector<uint8_t>& out) {
   const uint32_t n = get32(in);
   if (n > (1u << 28)) throw FormatError(FormatFault::kImplausible, "vxe: implausible section size");
-  std::vector<uint8_t> bytes(n);
-  in.read(reinterpret_cast<char*>(bytes.data()), n);
+  const size_t at = out.size();
+  out.resize(at + n);
+  in.read(reinterpret_cast<char*>(out.data() + at), n);
   if (static_cast<uint32_t>(in.gcount()) != n) {
     throw FormatError(FormatFault::kTruncated, "vxe: truncated section");
   }
+  return n;
+}
+
+std::vector<uint8_t> get_bytes(std::istream& in) {
+  std::vector<uint8_t> bytes;
+  append_bytes(in, bytes);
   return bytes;
 }
 
@@ -98,6 +109,7 @@ std::string_view format_fault_name(FormatFault fault) {
     case FormatFault::kBadLayout: return "bad_layout";
     case FormatFault::kTruncated: return "truncated";
     case FormatFault::kImplausible: return "implausible";
+    case FormatFault::kDuplicate: return "duplicate";
   }
   return "unknown";
 }
@@ -125,10 +137,20 @@ void save(const Image& image, std::ostream& out) {
   put32(out, image.rand_base);
   put32(out, image.rand_size);
 
-  put32(out, static_cast<uint32_t>(image.sparse_code.size()));
-  for (const auto& [addr, bytes] : image.sparse_code) {
+  // The entries go out in the order the format has always used: that of
+  // an std::unordered_map, reserved to the entry count, into which the
+  // records were emplaced in their stored order. Replaying the sequence
+  // here keeps every serialized naive image byte-identical.
+  const SparseCode& sparse = image.sparse_code;
+  std::unordered_map<uint32_t, uint32_t> order;
+  order.reserve(sparse.size());
+  for (uint32_t i = 0; i < sparse.size(); ++i) {
+    order.emplace(sparse.instrs[i].addr, i);
+  }
+  put32(out, static_cast<uint32_t>(order.size()));
+  for (const auto& [addr, i] : order) {
     put32(out, addr);
-    put_bytes(out, bytes);
+    put_bytes(out, sparse.bytes_of(sparse.instrs[i]));
   }
   put32(out, static_cast<uint32_t>(image.fallthrough.size()));
   for (const auto& [from, to] : image.fallthrough) {
@@ -192,10 +214,20 @@ Image load_file(std::istream& in) {
   image.rand_size = get32(in);
 
   const uint32_t n_sparse = checked_count(get32(in), "sparse-code");
-  image.sparse_code.reserve(n_sparse);
+  SparseCode& sparse = image.sparse_code;
+  FlatSet32 sparse_addrs;
   for (uint32_t i = 0; i < n_sparse; ++i) {
     const uint32_t addr = get32(in);
-    image.sparse_code.emplace(addr, get_bytes(in));
+    if (!sparse_addrs.insert(addr)) {
+      throw FormatError(FormatFault::kDuplicate,
+                        "vxe: two sparse-code entries at one address");
+    }
+    const auto offset = static_cast<uint32_t>(sparse.bytes.size());
+    sparse.instrs.push_back({addr, offset, append_bytes(in, sparse.bytes)});
+    if (sparse.bytes.size() > (1u << 28)) {
+      throw FormatError(FormatFault::kImplausible,
+                        "vxe: implausible sparse-code size");
+    }
   }
   const uint32_t n_fall = checked_count(get32(in), "fallthrough");
   image.fallthrough.reserve(n_fall);

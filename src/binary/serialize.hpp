@@ -9,6 +9,14 @@
 //   rand_base u32 | rand_size u32 |
 //   sparse_code (count + addr/bytes) | fallthrough (count + pairs) |
 //   tables: derand pairs, rand pairs, unrandomized set, base/bytes
+//
+// sparse_code entries are written in the iteration order of an
+// std::unordered_map<uint32_t, ...> reserved to the entry count after
+// the image's records were emplaced into it in their stored order: the
+// order the format's writers have always produced. A loaded image keeps
+// the file order, so a load/save round trip writes what an older writer
+// would have written for the same image. Two entries at one address are
+// rejected (FormatFault::kDuplicate).
 #pragma once
 
 #include <cstdint>
@@ -31,6 +39,7 @@ enum class FormatFault : uint8_t {
   kBadLayout = 2,   // unknown layout tag
   kTruncated = 3,   // ran out of bytes mid-field
   kImplausible = 4, // length/count field beyond the format's hard bounds
+  kDuplicate = 5,   // two entries claim the same address
 };
 
 [[nodiscard]] std::string_view format_fault_name(FormatFault fault);

@@ -81,20 +81,20 @@ bool FaultInjector::apply(binary::Image& image, binary::Memory& mem,
                static_cast<uint32_t>(rng.below(image.code.size()));
       } else if (!image.sparse_code.empty()) {
         // kNaiveIlr: relocated instructions live at their randomized
-        // addresses. unordered_map order is not portable — sort the keys.
-        std::vector<uint32_t> keys;
-        keys.reserve(image.sparse_code.size());
-        for (const auto& [k, bytes] : image.sparse_code) {
-          if (!bytes.empty()) keys.push_back(k);
+        // addresses. Pick among them in address order, which does not
+        // depend on the order the records were stored in.
+        std::vector<std::pair<uint32_t, uint32_t>> sites;
+        sites.reserve(image.sparse_code.size());
+        for (const binary::SparseInstr& s : image.sparse_code.instrs) {
+          if (s.length != 0) sites.emplace_back(s.addr, s.length);
         }
-        if (keys.empty()) {
+        if (sites.empty()) {
           record_.note = "no code bytes to corrupt";
           return false;
         }
-        std::sort(keys.begin(), keys.end());
-        const uint32_t key = keys[rng.below(keys.size())];
-        addr = key + static_cast<uint32_t>(
-                         rng.below(image.sparse_code.at(key).size()));
+        std::sort(sites.begin(), sites.end());
+        const auto [key, length] = sites[rng.below(sites.size())];
+        addr = key + static_cast<uint32_t>(rng.below(length));
       } else {
         record_.note = "no code bytes to corrupt";
         return false;

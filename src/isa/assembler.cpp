@@ -1,11 +1,12 @@
 #include "isa/assembler.hpp"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
 #include <charconv>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
-#include <variant>
 #include <vector>
 
 #include "isa/encoding.hpp"
@@ -20,22 +21,111 @@ struct AsmError : std::runtime_error {
       : std::runtime_error("asm:" + std::to_string(line) + ": " + msg) {}
 };
 
-/// An instruction whose immediate/target may still be symbolic.
+/// An instruction whose immediate/target may still be symbolic. Labels
+/// are views into the source, which outlives the assembler.
 struct PendingInstr {
   Instr instr;
-  std::string target_label;  // for jmp/jcc/call targets
-  std::string imm_label;     // for `mov rX, @label`
+  /// Jump/call target or `mov rX, @label` address; empty when numeric.
+  std::string_view label;
   size_t line = 0;
-  uint32_t addr = 0;
 };
 
 /// A pending data item.
 struct DataItem {
   enum class Kind { kWord, kByte, kSpace, kPtr } kind = Kind::kWord;
   uint32_t value = 0;      // word/byte value or space size
-  std::string label;       // for kPtr
+  std::string_view label;  // for kPtr
   size_t line = 0;
   uint32_t addr = 0;
+};
+
+/// How a mnemonic's operands are parsed.
+enum class Form : uint8_t {
+  kNone,      // nop, halt, ret
+  kSys,       // sys <int>
+  kOneReg,    // out/pop/jmpr/callr <reg>
+  kPush,      // push <reg>|<int>
+  kRegOrImm,  // mov/add/...: <reg>, <reg>|<int>|@label
+  kRegReg,    // div/test <reg>, <reg>
+  kMem,       // ld/st/ldb/stb <reg>, [<reg>+disp]
+  kDirect,    // jmp/call/j<cond> <int>|<label>
+};
+
+/// A mnemonic of up to 7 characters packed with its length into one word;
+/// longer names get a key no table entry has.
+constexpr uint64_t mnemonic_key(std::string_view name) {
+  if (name.size() > 7) return ~uint64_t{0};
+  uint64_t key = name.size();
+  for (size_t i = 0; i < name.size(); ++i) {
+    key |= uint64_t{static_cast<uint8_t>(name[i])} << (8 * (i + 1));
+  }
+  return key;
+}
+
+struct Mnemonic {
+  uint64_t key;
+  Form form;
+  Op op;      // the register (or only) form
+  Op op_imm;  // the immediate form of kRegOrImm / kPush
+  Cond cond = Cond::kEq;
+};
+
+constexpr Mnemonic mn(std::string_view name, Form form, Op op,
+                      Op op_imm = Op::kNop, Cond cond = Cond::kEq) {
+  return {mnemonic_key(name), form, op, op_imm, cond};
+}
+
+constexpr std::array kMnemonics = {
+    mn("mov", Form::kRegOrImm, Op::kMovRR, Op::kMovRI),
+    mn("ld", Form::kMem, Op::kLd),
+    mn("st", Form::kMem, Op::kSt),
+    mn("add", Form::kRegOrImm, Op::kAddRR, Op::kAddRI),
+    mn("cmp", Form::kRegOrImm, Op::kCmpRR, Op::kCmpRI),
+    mn("jmp", Form::kDirect, Op::kJmp),
+    mn("call", Form::kDirect, Op::kCall),
+    mn("ret", Form::kNone, Op::kRet),
+    mn("sub", Form::kRegOrImm, Op::kSubRR, Op::kSubRI),
+    mn("and", Form::kRegOrImm, Op::kAndRR, Op::kAndRI),
+    mn("or", Form::kRegOrImm, Op::kOrRR, Op::kOrRI),
+    mn("xor", Form::kRegOrImm, Op::kXorRR, Op::kXorRI),
+    mn("shl", Form::kRegOrImm, Op::kShlRR, Op::kShlRI),
+    mn("shr", Form::kRegOrImm, Op::kShrRR, Op::kShrRI),
+    mn("mul", Form::kRegOrImm, Op::kMulRR, Op::kMulRI),
+    mn("div", Form::kRegReg, Op::kDivRR),
+    mn("test", Form::kRegReg, Op::kTestRR),
+    mn("ldb", Form::kMem, Op::kLdb),
+    mn("stb", Form::kMem, Op::kStb),
+    mn("push", Form::kPush, Op::kPushR, Op::kPushI),
+    mn("pop", Form::kOneReg, Op::kPopR),
+    mn("out", Form::kOneReg, Op::kOut),
+    mn("jmpr", Form::kOneReg, Op::kJmpR),
+    mn("callr", Form::kOneReg, Op::kCallR),
+    mn("nop", Form::kNone, Op::kNop),
+    mn("halt", Form::kNone, Op::kHalt),
+    mn("sys", Form::kSys, Op::kSys),
+    mn("jeq", Form::kDirect, Op::kJcc, Op::kNop, Cond::kEq),
+    mn("jne", Form::kDirect, Op::kJcc, Op::kNop, Cond::kNe),
+    mn("jlt", Form::kDirect, Op::kJcc, Op::kNop, Cond::kLt),
+    mn("jle", Form::kDirect, Op::kJcc, Op::kNop, Cond::kLe),
+    mn("jgt", Form::kDirect, Op::kJcc, Op::kNop, Cond::kGt),
+    mn("jge", Form::kDirect, Op::kJcc, Op::kNop, Cond::kGe),
+    mn("jb", Form::kDirect, Op::kJcc, Op::kNop, Cond::kB),
+    mn("jae", Form::kDirect, Op::kJcc, Op::kNop, Cond::kAe),
+};
+
+const Mnemonic* find_mnemonic(std::string_view name) {
+  const uint64_t key = mnemonic_key(name);
+  for (const Mnemonic& m : kMnemonics) {
+    if (m.key == key) return &m;
+  }
+  return nullptr;
+}
+
+/// Up to two operands (every form's maximum) plus the count of all
+/// non-empty ones, which error messages report.
+struct Operands {
+  std::array<std::string_view, 2> op;
+  size_t count = 0;
 };
 
 class Assembler {
@@ -51,31 +141,34 @@ class Assembler {
  private:
   // ---- lexing helpers -----------------------------------------------------
 
+  /// The C locale's isspace.
+  static bool is_space(char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  }
+
   static std::string_view trim(std::string_view s) {
-    while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
-      s.remove_prefix(1);
-    }
-    while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
-      s.remove_suffix(1);
-    }
+    while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
+    while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
     return s;
   }
 
-  /// Splits "a, b" operands on commas, trimming whitespace.
-  static std::vector<std::string_view> split_operands(std::string_view s) {
-    std::vector<std::string_view> out;
-    size_t start = 0;
-    for (size_t i = 0; i <= s.size(); ++i) {
-      if (i == s.size() || s[i] == ',') {
-        auto piece = trim(s.substr(start, i - start));
-        if (!piece.empty()) out.push_back(piece);
-        start = i + 1;
+  /// Splits "a, b" operands on commas, trimming whitespace and dropping
+  /// empty pieces.
+  static Operands split_operands(std::string_view s) {
+    Operands out;
+    while (true) {
+      const size_t comma = s.find(',');
+      const std::string_view piece = trim(s.substr(0, comma));
+      if (!piece.empty()) {
+        if (out.count < out.op.size()) out.op[out.count] = piece;
+        ++out.count;
       }
+      if (comma == std::string_view::npos) return out;
+      s.remove_prefix(comma + 1);
     }
-    return out;
   }
 
-  std::optional<int64_t> parse_int(std::string_view s) const {
+  static std::optional<int64_t> parse_int(std::string_view s) {
     bool neg = false;
     if (!s.empty() && (s[0] == '-' || s[0] == '+')) {
       neg = s[0] == '-';
@@ -94,13 +187,13 @@ class Assembler {
     return neg ? -static_cast<int64_t>(value) : static_cast<int64_t>(value);
   }
 
-  uint8_t expect_reg(std::string_view tok, size_t line) const {
+  static uint8_t expect_reg(std::string_view tok, size_t line) {
     auto reg = parse_reg(tok);
     if (!reg) throw AsmError(line, "expected register, got '" + std::string(tok) + "'");
     return *reg;
   }
 
-  int64_t expect_int(std::string_view tok, size_t line) const {
+  static int64_t expect_int(std::string_view tok, size_t line) {
     auto v = parse_int(tok);
     if (!v) throw AsmError(line, "expected integer, got '" + std::string(tok) + "'");
     return *v;
@@ -109,6 +202,7 @@ class Assembler {
   // ---- pass 1: parse ------------------------------------------------------
 
   void parse() {
+    instrs_.reserve(std::count(source_.begin(), source_.end(), '\n') + 1);
     size_t line_no = 0;
     size_t pos = 0;
     while (pos <= source_.size()) {
@@ -118,14 +212,17 @@ class Assembler {
       pos = eol + 1;
       ++line_no;
 
-      if (auto cut = line.find_first_of(";#"); cut != std::string_view::npos) {
-        line = line.substr(0, cut);
+      for (size_t i = 0; i < line.size(); ++i) {
+        if (line[i] == ';' || line[i] == '#') {
+          line = line.substr(0, i);
+          break;
+        }
       }
       line = trim(line);
       if (line.empty()) continue;
 
       if (line.back() == ':') {
-        define_label(std::string(trim(line.substr(0, line.size() - 1))), line_no);
+        define_label(trim(line.substr(0, line.size() - 1)), line_no);
         continue;
       }
       if (line.front() == '.') {
@@ -139,14 +236,14 @@ class Assembler {
     }
   }
 
-  void define_label(const std::string& name, size_t line) {
+  void define_label(std::string_view name, size_t line) {
     if (name.empty()) throw AsmError(line, "empty label");
     const uint32_t addr = in_data_ ? data_cursor_ : code_cursor_;
     if (!labels_.emplace(name, addr).second) {
-      throw AsmError(line, "duplicate label '" + name + "'");
+      throw AsmError(line, "duplicate label '" + std::string(name) + "'");
     }
     if (pending_func_.has_value()) {
-      image_.functions.push_back({*pending_func_, addr});
+      image_.functions.push_back({std::string(*pending_func_), addr});
       pending_func_.reset();
     }
   }
@@ -172,11 +269,11 @@ class Assembler {
     } else if (dir == ".text") {
       in_data_ = false;
     } else if (dir == ".entry") {
-      entry_label_ = std::string(rest);
+      entry_label_ = rest;
       entry_line_ = line_no;
     } else if (dir == ".func") {
       if (rest.empty()) throw AsmError(line_no, ".func requires a name");
-      pending_func_ = std::string(rest);
+      pending_func_ = rest;
     } else if (dir == ".word") {
       data_items_.push_back({DataItem::Kind::kWord,
                              static_cast<uint32_t>(expect_int(rest, line_no)),
@@ -195,8 +292,8 @@ class Assembler {
       data_cursor_ += static_cast<uint32_t>(n);
     } else if (dir == ".ptr") {
       if (rest.empty()) throw AsmError(line_no, ".ptr requires a label");
-      data_items_.push_back({DataItem::Kind::kPtr, 0, std::string(rest),
-                             line_no, data_cursor_});
+      data_items_.push_back({DataItem::Kind::kPtr, 0, rest, line_no,
+                             data_cursor_});
       data_cursor_ += 4;
     } else {
       throw AsmError(line_no, "unknown directive '" + std::string(dir) + "'");
@@ -204,7 +301,8 @@ class Assembler {
   }
 
   /// Parses "[rN]", "[rN+d]", "[rN-d]".
-  std::pair<uint8_t, int32_t> parse_mem(std::string_view tok, size_t line) const {
+  static std::pair<uint8_t, int32_t> parse_mem(std::string_view tok,
+                                               size_t line) {
     if (tok.size() < 3 || tok.front() != '[' || tok.back() != ']') {
       throw AsmError(line, "expected memory operand, got '" + std::string(tok) + "'");
     }
@@ -221,142 +319,113 @@ class Assembler {
     return {base, static_cast<int32_t>(disp)};
   }
 
-  void emit(PendingInstr p) {
-    if (in_data_) {
-      throw AsmError(p.line, "instruction in data section");
-    }
-    p.addr = code_cursor_;
-    p.instr.length = instr_length(static_cast<uint8_t>(p.instr.op));
-    code_cursor_ += p.instr.length;
-    instrs_.push_back(std::move(p));
-  }
-
   void parse_instr(std::string_view line, size_t line_no) {
     const size_t sp = line.find_first_of(" \t");
-    std::string mn{line.substr(0, sp)};
-    const auto ops = split_operands(
+    const std::string_view name = line.substr(0, sp);
+    const Operands ops = split_operands(
         sp == std::string_view::npos ? std::string_view{} : line.substr(sp));
+    const Mnemonic* m = find_mnemonic(name);
+    if (m == nullptr) {
+      throw AsmError(line_no, "unknown mnemonic '" + std::string(name) + "'");
+    }
 
     PendingInstr p;
     p.line = line_no;
     Instr& in = p.instr;
-
+    in.op = m->op;
     auto need = [&](size_t n) {
-      if (ops.size() != n) {
-        throw AsmError(line_no, mn + " expects " + std::to_string(n) +
-                                    " operand(s), got " + std::to_string(ops.size()));
-      }
-    };
-    auto reg_or_imm = [&](Op rr, Op ri) {
-      need(2);
-      in.rd = expect_reg(ops[0], line_no);
-      if (parse_reg(ops[1])) {
-        in.op = rr;
-        in.rs = *parse_reg(ops[1]);
-      } else {
-        in.op = ri;
-        if (!ops[1].empty() && ops[1][0] == '@') {
-          p.imm_label = std::string(ops[1].substr(1));
-        } else {
-          in.imm = static_cast<uint32_t>(expect_int(ops[1], line_no));
-        }
-      }
-    };
-    auto mem_op = [&](Op op) {
-      need(2);
-      in.op = op;
-      in.rd = expect_reg(ops[0], line_no);
-      auto [base, disp] = parse_mem(ops[1], line_no);
-      in.rs = base;
-      in.disp = disp;
-    };
-    auto one_reg = [&](Op op) {
-      need(1);
-      in.op = op;
-      in.rd = expect_reg(ops[0], line_no);
-    };
-    auto direct = [&](Op op) {
-      need(1);
-      in.op = op;
-      if (auto v = parse_int(ops[0])) {
-        in.imm = static_cast<uint32_t>(*v);
-      } else {
-        p.target_label = std::string(ops[0]);
+      if (ops.count != n) {
+        throw AsmError(line_no, std::string(name) + " expects " +
+                                    std::to_string(n) + " operand(s), got " +
+                                    std::to_string(ops.count));
       }
     };
 
-    if (mn == "nop") { need(0); in.op = Op::kNop; }
-    else if (mn == "halt") { need(0); in.op = Op::kHalt; }
-    else if (mn == "ret") { need(0); in.op = Op::kRet; }
-    else if (mn == "sys") {
-      need(1);
-      in.op = Op::kSys;
-      in.imm = static_cast<uint32_t>(expect_int(ops[0], line_no));
-    }
-    else if (mn == "out") { one_reg(Op::kOut); }
-    else if (mn == "push") {
-      need(1);
-      if (parse_reg(ops[0])) {
-        in.op = Op::kPushR;
-        in.rd = *parse_reg(ops[0]);
-      } else {
-        in.op = Op::kPushI;
-        in.imm = static_cast<uint32_t>(expect_int(ops[0], line_no));
+    switch (m->form) {
+      case Form::kNone:
+        need(0);
+        break;
+      case Form::kSys:
+        need(1);
+        in.imm = static_cast<uint32_t>(expect_int(ops.op[0], line_no));
+        break;
+      case Form::kOneReg:
+        need(1);
+        in.rd = expect_reg(ops.op[0], line_no);
+        break;
+      case Form::kPush:
+        need(1);
+        if (const auto reg = parse_reg(ops.op[0])) {
+          in.rd = *reg;
+        } else {
+          in.op = m->op_imm;
+          in.imm = static_cast<uint32_t>(expect_int(ops.op[0], line_no));
+        }
+        break;
+      case Form::kRegOrImm:
+        need(2);
+        in.rd = expect_reg(ops.op[0], line_no);
+        if (const auto reg = parse_reg(ops.op[1])) {
+          in.rs = *reg;
+        } else {
+          in.op = m->op_imm;
+          if (ops.op[1][0] == '@') {
+            p.label = ops.op[1].substr(1);
+          } else {
+            in.imm = static_cast<uint32_t>(expect_int(ops.op[1], line_no));
+          }
+        }
+        break;
+      case Form::kRegReg:
+        need(2);
+        in.rd = expect_reg(ops.op[0], line_no);
+        in.rs = expect_reg(ops.op[1], line_no);
+        break;
+      case Form::kMem: {
+        need(2);
+        in.rd = expect_reg(ops.op[0], line_no);
+        const auto [base, disp] = parse_mem(ops.op[1], line_no);
+        in.rs = base;
+        in.disp = disp;
+        break;
       }
+      case Form::kDirect:
+        need(1);
+        in.cond = m->cond;
+        if (const auto v = parse_int(ops.op[0])) {
+          in.imm = static_cast<uint32_t>(*v);
+        } else {
+          p.label = ops.op[0];
+        }
+        break;
     }
-    else if (mn == "pop") { one_reg(Op::kPopR); }
-    else if (mn == "jmpr") { one_reg(Op::kJmpR); }
-    else if (mn == "callr") { one_reg(Op::kCallR); }
-    else if (mn == "mov") { reg_or_imm(Op::kMovRR, Op::kMovRI); }
-    else if (mn == "add") { reg_or_imm(Op::kAddRR, Op::kAddRI); }
-    else if (mn == "sub") { reg_or_imm(Op::kSubRR, Op::kSubRI); }
-    else if (mn == "and") { reg_or_imm(Op::kAndRR, Op::kAndRI); }
-    else if (mn == "or") { reg_or_imm(Op::kOrRR, Op::kOrRI); }
-    else if (mn == "xor") { reg_or_imm(Op::kXorRR, Op::kXorRI); }
-    else if (mn == "shl") { reg_or_imm(Op::kShlRR, Op::kShlRI); }
-    else if (mn == "shr") { reg_or_imm(Op::kShrRR, Op::kShrRI); }
-    else if (mn == "mul") { reg_or_imm(Op::kMulRR, Op::kMulRI); }
-    else if (mn == "cmp") { reg_or_imm(Op::kCmpRR, Op::kCmpRI); }
-    else if (mn == "div") {
-      need(2);
-      in.op = Op::kDivRR;
-      in.rd = expect_reg(ops[0], line_no);
-      in.rs = expect_reg(ops[1], line_no);
+    emit(p);
+  }
+
+  void emit(PendingInstr& p) {
+    if (in_data_) {
+      throw AsmError(p.line, "instruction in data section");
     }
-    else if (mn == "test") {
-      need(2);
-      in.op = Op::kTestRR;
-      in.rd = expect_reg(ops[0], line_no);
-      in.rs = expect_reg(ops[1], line_no);
-    }
-    else if (mn == "ld") { mem_op(Op::kLd); }
-    else if (mn == "st") { mem_op(Op::kSt); }
-    else if (mn == "ldb") { mem_op(Op::kLdb); }
-    else if (mn == "stb") { mem_op(Op::kStb); }
-    else if (mn == "jmp") { direct(Op::kJmp); }
-    else if (mn == "call") { direct(Op::kCall); }
-    else if (mn.size() > 1 && mn[0] == 'j' && parse_cond(mn.substr(1))) {
-      direct(Op::kJcc);
-      in.cond = *parse_cond(mn.substr(1));
-    }
-    else {
-      throw AsmError(line_no, "unknown mnemonic '" + mn + "'");
-    }
-    emit(std::move(p));
+    p.instr.length = instr_length(static_cast<uint8_t>(p.instr.op));
+    code_cursor_ += p.instr.length;
+    code_bytes_ += p.instr.length;
+    instrs_.push_back(p);
   }
 
   // ---- pass 2: resolve and encode ----------------------------------------
 
-  uint32_t lookup(const std::string& label, size_t line) const {
+  uint32_t lookup(std::string_view label, size_t line) const {
     auto it = labels_.find(label);
-    if (it == labels_.end()) throw AsmError(line, "undefined label '" + label + "'");
+    if (it == labels_.end()) {
+      throw AsmError(line, "undefined label '" + std::string(label) + "'");
+    }
     return it->second;
   }
 
   void resolve() {
+    image_.code.reserve(code_bytes_);
     for (auto& p : instrs_) {
-      if (!p.target_label.empty()) p.instr.imm = lookup(p.target_label, p.line);
-      if (!p.imm_label.empty()) p.instr.imm = lookup(p.imm_label, p.line);
+      if (!p.label.empty()) p.instr.imm = lookup(p.label, p.line);
       encode(p.instr, image_.code);
     }
     image_.data.resize(data_cursor_ - image_.data_base, 0);
@@ -398,11 +467,12 @@ class Assembler {
   bool in_data_ = false;
   uint32_t code_cursor_ = binary::kDefaultCodeBase;
   uint32_t data_cursor_ = binary::kDefaultDataBase;
-  std::unordered_map<std::string, uint32_t> labels_;
+  size_t code_bytes_ = 0;
+  std::unordered_map<std::string_view, uint32_t> labels_;
   std::vector<PendingInstr> instrs_;
   std::vector<DataItem> data_items_;
-  std::optional<std::string> pending_func_;
-  std::string entry_label_;
+  std::optional<std::string_view> pending_func_;
+  std::string_view entry_label_;
   size_t entry_line_ = 0;
 };
 

@@ -25,18 +25,6 @@ bool has_code_imm(const isa::DisasmEntry& entry,
          (instr.op == Op::kMovRI && code_imm_sites.contains(entry.addr));
 }
 
-/// Appends one instruction to `out`, re-encoded with its code-pointer
-/// immediate mapped through `rand` (identity for everything else).
-void rewrite_instr(const isa::DisasmEntry& entry, const binary::FlatMap32& rand,
-                   const std::unordered_set<uint32_t>& code_imm_sites,
-                   std::vector<uint8_t>& out) {
-  isa::Instr instr = entry.instr;
-  if (has_code_imm(entry, code_imm_sites)) {
-    if (const uint32_t* ra = rand.lookup(instr.imm)) instr.imm = *ra;
-  }
-  isa::encode(instr, out);
-}
-
 /// Rewrites every relocated data slot (jump tables / stored code pointers)
 /// into the randomized space.
 void patch_data(binary::Image& img, const binary::FlatMap32& rand) {
@@ -67,33 +55,35 @@ TableOrder table_order_of(const std::vector<uint32_t>& keys) {
 }
 
 /// Emits the naive-ILR image of a placement: every instruction physically
-/// relocated to its randomized address, plus the fall-through map.
-void emit_naive(const Program& program, uint64_t seed,
-                RandomizeResult& result) {
+/// relocated to its randomized address, plus the fall-through map. A
+/// naive instruction is its VCFR counterpart (same code-pointer rewrites),
+/// so its bytes are cut from the VCFR code, not re-encoded. Takes the
+/// program's image; `program` is spent afterwards.
+void emit_naive(Program& program, uint64_t seed, RandomizeResult& result) {
   const auto& instrs = program.cfg.instrs;
   const binary::TranslationTables& tables = result.vcfr.tables;
   binary::Image& naive = result.naive;
-  naive = program.image;
+  naive = std::move(program.image);
   naive.layout = binary::Layout::kNaiveIlr;
   naive.seed = seed;
-  naive.code.clear();  // all instructions live in sparse_code
+  naive.code = {};  // all instructions live in sparse_code
   naive.rand_base = result.vcfr.rand_base;
   naive.rand_size = result.vcfr.rand_size;
-  naive.sparse_code.reserve(instrs.size());
+  binary::SparseCode& sparse = naive.sparse_code;
+  sparse.bytes = result.vcfr.code;
+  sparse.instrs.reserve(instrs.size());
+  uint32_t offset = 0;
   for (size_t i = 0; i < instrs.size(); ++i) {
-    const auto& e = instrs[i];
-    std::vector<uint8_t> bytes;
-    rewrite_instr(e, tables.rand, program.analysis.code_imm_sites, bytes);
-    naive.sparse_code.emplace(tables.to_randomized(e.addr), std::move(bytes));
-    if (i + 1 < instrs.size()) {
-      naive.fallthrough.emplace(tables.to_randomized(e.addr),
-                                tables.to_randomized(instrs[i + 1].addr));
-    }
+    const uint32_t addr = tables.to_randomized(instrs[i].addr);
+    const uint32_t length = instrs[i].instr.length;
+    sparse.instrs.push_back({addr, offset, length});
+    offset += length;
+    if (i > 0) naive.fallthrough.emplace(sparse.instrs[i - 1].addr, addr);
   }
   patch_data(naive, tables.rand);
   // The mapping exists on the naive hardware too.
   naive.tables = tables;
-  naive.entry = tables.to_randomized(program.image.entry);
+  naive.entry = tables.to_randomized(naive.entry);
 }
 
 uint32_t next_pow2(uint32_t v) {
@@ -384,7 +374,7 @@ RandomizeResult randomize(const binary::Image& image,
   }
   place_into(*program, inner, result);
   emit_naive(*program, inner.seed, result);
-  // Keep only the analysis; the program's image copy and CFG die here.
+  // Keep only the analysis; the program's CFG dies here.
   result.analysis =
       std::make_shared<const AnalysisResult>(std::move(program->analysis));
   return result;

@@ -20,6 +20,14 @@
 // (placement, tables, VCFR image) against a shared Program. randomize() is
 // prepare + place + the naive-ILR image in one call.
 //
+// The naive-ILR image re-encodes nothing. Its instructions carry exactly
+// the code-pointer rewrites of the VCFR image and differ from it only in
+// where they live, so each one's bytes are the VCFR code's bytes at the
+// same offset. randomize() copies the VCFR code once as the naive image's
+// byte blob, records (randomized address, offset, length) per instruction
+// in CFG order (binary::SparseCode), and takes the prepared program's
+// image by move instead of copying it.
+//
 // A placement draws each movable instruction's randomized address into a
 // flat array; no per-instruction map is built. The order the derand/rand
 // tables are filled in fixes their slot layout and so their serialized

@@ -2,9 +2,14 @@
 // relocations, and error reporting.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "binary/serialize.hpp"
 #include "isa/assembler.hpp"
 #include "isa/disassembler.hpp"
 #include "isa/encoding.hpp"
+#include "workloads/suite.hpp"
 
 namespace vcfr::isa {
 namespace {
@@ -165,6 +170,52 @@ TEST(AssemblerErrorTest, RejectsCommonMistakes) {
   EXPECT_THROW((void)assemble(".entry missing\n"), std::runtime_error);
   EXPECT_THROW((void)assemble(".bogus 1\n"), std::runtime_error);
   EXPECT_THROW((void)assemble(".data\n nop\n"), std::runtime_error);
+}
+
+uint64_t fnv1a(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Every workload the suite can build, assembled at scales 0 and 1: FNV-1a
+// digests of the serialized images, recorded before the assembler's
+// per-line allocations were removed. Pins code, data, relocations,
+// symbols and entry byte for byte.
+TEST(AssemblerGoldenTest, WorkloadImagesUnchanged) {
+  struct Golden {
+    const char* workload;
+    uint64_t scale0;
+    uint64_t scale1;
+  };
+  const Golden golden[] = {
+      {"bzip2", 0x94a56781d21522f2ull, 0x3863329bd75ccb15ull},
+      {"gcc", 0xa499dab654dbaeaeull, 0x4ce13a2fba85672eull},
+      {"mcf", 0x189448dcaf828c5dull, 0xf29c64b29600f3aeull},
+      {"hmmer", 0xc32437d02383da52ull, 0xd64a7cf4296d0e64ull},
+      {"sjeng", 0xf682a1e95f702541ull, 0x1211bbd9f81aa9c5ull},
+      {"libquantum", 0xa0c60c1145b73cfeull, 0xf30a7b1fc5590d79ull},
+      {"h264ref", 0xb0796db1e7384c72ull, 0xf30ac8cc92da84c8ull},
+      {"lbm", 0x81d73382da47b619ull, 0x239152fa9224b8c0ull},
+      {"xalan", 0xcffb4bea5f908ae5ull, 0x7b10731b181b0d67ull},
+      {"namd", 0x99af8fde81847d46ull, 0xae182aec2487702eull},
+      {"soplex", 0x43822b8da7a72d0aull, 0x598b442921dac39cull},
+      {"memcpy", 0xf6805274917d3625ull, 0x1d8c2d5e752d31bdull},
+      {"python", 0x0df9107d65557487ull, 0xa4cdc5f7c7b2b0d2ull},
+      {"server", 0xc4473ec80d52d5deull, 0xc4473ec80d52d5deull},
+      {"leaky", 0x62529f6eb0ffbac9ull, 0x62529f6eb0ffbac9ull},
+  };
+  for (const Golden& g : golden) {
+    for (const int scale : {0, 1}) {
+      std::ostringstream out;
+      binary::save(workloads::make(g.workload, scale), out);
+      EXPECT_EQ(fnv1a(out.str()), scale == 0 ? g.scale0 : g.scale1)
+          << g.workload << " scale " << scale;
+    }
+  }
 }
 
 }  // namespace

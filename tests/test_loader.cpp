@@ -129,8 +129,11 @@ TEST(LoaderTest, LoadsAllThreeLayouts) {
   // The original code location is vacated; instructions live at their
   // randomized addresses.
   bool found = false;
-  for (const auto& [addr, bytes] : rr.naive.sparse_code) {
-    if (!bytes.empty() && m1.read8(addr) == bytes[0]) found = true;
+  const SparseCode& sparse = rr.naive.sparse_code;
+  for (const SparseInstr& s : sparse.instrs) {
+    if (s.length != 0 && m1.read8(s.addr) == sparse.bytes_of(s)[0]) {
+      found = true;
+    }
   }
   EXPECT_TRUE(found);
 

@@ -1,7 +1,9 @@
 // VXE serialization round-trip and robustness tests.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <vector>
 
 #include "binary/serialize.hpp"
 #include "emu/emulator.hpp"
@@ -33,6 +35,43 @@ Image sample_image() {
   )");
 }
 
+/// A naive image's relocated code keyed by address: a loaded image keeps
+/// the file's record order, so records are compared as a set.
+std::map<uint32_t, std::vector<uint8_t>> by_address(const SparseCode& sparse) {
+  std::map<uint32_t, std::vector<uint8_t>> out;
+  for (const SparseInstr& s : sparse.instrs) {
+    const auto bytes = sparse.bytes_of(s);
+    out.emplace(s.addr, std::vector<uint8_t>(bytes.begin(), bytes.end()));
+  }
+  return out;
+}
+
+uint32_t read32_at(const std::string& bytes, size_t at) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[at + i])) << (8 * i);
+  }
+  return v;
+}
+
+/// Offsets of the sparse-code entries' address fields in `bytes`, the
+/// serialized form of `img` (see the layout in serialize.hpp).
+std::vector<size_t> sparse_addr_offsets(const std::string& bytes,
+                                        const Image& img) {
+  size_t at = 4 + 1 + 8 + 4 + img.name.size() + 4 + 4 + img.code.size() + 4 +
+              4 + img.data.size() + 4 + 4 + 4 * img.relocs.size() + 4;
+  for (const auto& f : img.functions) at += 4 + f.name.size() + 4;
+  at += 8;  // rand_base, rand_size
+  const uint32_t n = read32_at(bytes, at);
+  at += 4;
+  std::vector<size_t> offsets;
+  for (uint32_t i = 0; i < n; ++i) {
+    offsets.push_back(at);
+    at += 8 + read32_at(bytes, at + 4);
+  }
+  return offsets;
+}
+
 void expect_equal(const Image& a, const Image& b) {
   EXPECT_EQ(a.name, b.name);
   EXPECT_EQ(a.layout, b.layout);
@@ -46,7 +85,8 @@ void expect_equal(const Image& a, const Image& b) {
   EXPECT_EQ(a.functions.size(), b.functions.size());
   EXPECT_EQ(a.rand_base, b.rand_base);
   EXPECT_EQ(a.rand_size, b.rand_size);
-  EXPECT_EQ(a.sparse_code, b.sparse_code);
+  EXPECT_EQ(a.sparse_code.size(), b.sparse_code.size());
+  EXPECT_EQ(by_address(a.sparse_code), by_address(b.sparse_code));
   EXPECT_EQ(a.fallthrough, b.fallthrough);
   EXPECT_EQ(a.tables.derand, b.tables.derand);
   EXPECT_EQ(a.tables.rand, b.tables.rand);
@@ -172,6 +212,30 @@ TEST(SerializeTest, MutationFuzzOnlyEverThrowsFormatError) {
   }
   EXPECT_EQ(loaded + rejected, 600u);
   EXPECT_GT(rejected, 0u) << "the fuzzer never hit a framing field";
+
+  // Address mutations that make two sparse-code entries collide: a naive
+  // image must never load with one of them silently dropped.
+  std::stringstream ss;
+  save(rr.naive, ss);
+  const std::string naive = ss.str();
+  const std::vector<size_t> addrs = sparse_addr_offsets(naive, rr.naive);
+  ASSERT_EQ(addrs.size(), rr.naive.sparse_code.size());
+  ASSERT_GE(addrs.size(), 2u);
+  for (int round = 0; round < 50; ++round) {
+    const size_t from = addrs[next() % addrs.size()];
+    size_t to = addrs[next() % addrs.size()];
+    if (to == from) to = from == addrs[0] ? addrs[1] : addrs[0];
+    std::string mutated = naive;
+    mutated.replace(to, 4, naive, from, 4);
+    std::stringstream in(mutated);
+    try {
+      (void)load_file(in);
+      ADD_FAILURE() << "duplicate sparse-code address loaded";
+    } catch (const FormatError& e) {
+      EXPECT_EQ(e.fault(), FormatFault::kDuplicate) << e.what();
+      EXPECT_EQ(format_fault_name(e.fault()), "duplicate");
+    }
+  }
 }
 
 TEST(SerializeTest, FileRoundTrip) {

@@ -6,15 +6,19 @@
 // randomize() at the same seed, programs are shared within a kernel and
 // never across kernels, pool workers can read a shared program
 // concurrently, and randomize(), spawns and their loaded memory still
-// produce the bytes they produced before the split and before placement
-// dropped its per-instruction map.
+// produce the bytes they produced before the split, before placement
+// dropped its per-instruction map, and before the naive-ILR image was cut
+// from the VCFR code.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "binary/loader.hpp"
 #include "binary/serialize.hpp"
+#include "emu/emulator.hpp"
+#include "fault/injector.hpp"
 #include "os/kernel.hpp"
 #include "rewriter/randomizer.hpp"
 #include "workloads/suite.hpp"
@@ -406,6 +410,60 @@ TEST(SpawnPipelineTest, SpawnedTablesAndMemoryUnchanged) {
     EXPECT_EQ(p.memory().pages_allocated(), g.pages) << what;
     ASSERT_TRUE(p.try_rerandomize()) << what;
     expect_eq(snapshot(p), g.epoch1, what + " epoch 1");
+  }
+}
+
+// The naive-ILR image as the loader lays it out, recorded while its code
+// was still re-encoded per instruction: memory checksum and page count
+// after binary::load, and the address and bit a code_byte fault picks.
+TEST(SpawnPipelineTest, NaiveImageLoadsUnchanged) {
+  struct Golden {
+    const char* workload;
+    rewriter::PlacementPolicy placement;
+    uint64_t seed;
+    uint64_t memory;
+    size_t pages;
+    uint32_t fault_addr;
+    uint32_t fault_bit;
+  };
+  constexpr auto kFull = rewriter::PlacementPolicy::kFullSpread;
+  constexpr auto kPage = rewriter::PlacementPolicy::kPageConfined;
+  const Golden golden[] = {
+      {"gcc", kFull, 3, 0x9121766f13036517ull, 362, 0x4013f74fu, 0},
+      {"gcc", kFull, 41, 0x71caa17b83fa8ba5ull, 362, 0x400c6174u, 0},
+      {"gcc", kPage, 3, 0x7f591d0a841a62fdull, 31, 0x4001740cu, 0},
+      {"gcc", kPage, 41, 0xe7b80396f714b61cull, 31, 0x4000e518u, 0},
+      {"xalan", kFull, 3, 0x6a481aa07ffa9159ull, 398, 0x400710f0u, 0},
+      {"xalan", kFull, 41, 0x3be0bdc2a3759eb8ull, 398, 0x4011bdb5u, 0},
+      {"xalan", kPage, 3, 0xa5380c3a7d679037ull, 40, 0x40008127u, 0},
+      {"xalan", kPage, 41, 0x2318754cb8759f42ull, 40, 0x40014bd3u, 0},
+      {"mcf", kFull, 3, 0xee85f0cffaaba78eull, 438, 0x40108b34u, 0},
+      {"mcf", kFull, 41, 0x349ced53027b8c77ull, 438, 0x400266e9u, 0},
+      {"mcf", kPage, 3, 0x5f15bb9840fe80b0ull, 154, 0x400138ddu, 0},
+      {"mcf", kPage, 41, 0x9bb3c0c8566de4cdull, 154, 0x40002c3du, 0},
+  };
+  for (const Golden& g : golden) {
+    rewriter::RandomizeOptions options;
+    options.seed = g.seed;
+    options.placement = g.placement;
+    auto rr = rewriter::randomize(workloads::make(g.workload, 1), options);
+    const std::string what =
+        std::string(g.workload) +
+        (g.placement == kPage ? " page-confined" : " full-spread") +
+        " seed " + std::to_string(g.seed);
+    binary::Memory mem;
+    binary::load(rr.naive, mem);
+    EXPECT_EQ(mem.checksum(), g.memory) << what;
+    EXPECT_EQ(mem.pages_allocated(), g.pages) << what;
+
+    emu::Emulator emu(rr.naive, mem);
+    fault::FaultPlan plan;
+    plan.site = fault::FaultSite::kCodeByte;
+    plan.seed = g.seed * 1000 + 7;
+    fault::FaultInjector injector(plan);
+    ASSERT_TRUE(injector.apply(rr.naive, mem, emu)) << what;
+    EXPECT_EQ(injector.record().address, g.fault_addr) << what;
+    EXPECT_EQ(injector.record().bit, g.fault_bit) << what;
   }
 }
 

@@ -198,11 +198,14 @@ int cmd_asm(const Args& args) {
 int cmd_disasm(const Args& args) {
   const auto image = binary::load_file(require_input(args));
   if (image.layout == binary::Layout::kNaiveIlr) {
-    rprintf("; naive-ILR image: %zu relocated instructions\n",
-                image.sparse_code.size());
-    for (const auto& [addr, bytes] : image.sparse_code) {
-      const auto d = isa::decode(bytes);
-      if (d) rprintf("%08x: %s\n", addr, isa::format_instr(*d).c_str());
+    const binary::SparseCode& sparse = image.sparse_code;
+    rprintf("; naive-ILR image: %zu relocated instructions\n", sparse.size());
+    std::vector<binary::SparseInstr> by_addr = sparse.instrs;
+    std::sort(by_addr.begin(), by_addr.end(),
+              [](const auto& a, const auto& b) { return a.addr < b.addr; });
+    for (const binary::SparseInstr& s : by_addr) {
+      const auto d = isa::decode(sparse.bytes_of(s));
+      if (d) rprintf("%08x: %s\n", s.addr, isa::format_instr(*d).c_str());
     }
     return 0;
   }
